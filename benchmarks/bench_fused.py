@@ -21,7 +21,7 @@ only on runners with enough cores to express it).
 
 The ``compiled`` section re-times the fused decode with the inner
 loop on the compiled kernel twin (DESIGN.md §19) when a toolchain
-(numba or a C compiler) is present; the section always records
+(a C compiler) is present; the section always records
 ``available``/``toolchain`` so a fallback run is visible in the JSON.
 
 The JSON this emits is the perf trajectory future PRs regress

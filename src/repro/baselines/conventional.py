@@ -131,7 +131,7 @@ class ConventionalCodec:
     # -- encoding -------------------------------------------------------
 
     def encode(
-        self, data: np.ndarray, partitions: int
+        self, data: np.ndarray, partitions: int, kernel: str = "compiled"
     ) -> ConventionalEncoded:
         """Encode all partitions in one fused multi-task kernel call.
 
@@ -155,7 +155,7 @@ class ConventionalCodec:
 
             self._encode_arena = ScratchArena()
         outs = fused_encode_run(
-            self.provider, self.lanes, tasks, self._encode_arena
+            self.provider, self.lanes, tasks, self._encode_arena, kernel
         )
         finals = np.empty((len(bounds), self.lanes), dtype=np.uint64)
         offsets = np.empty(len(bounds), dtype=np.int64)

@@ -343,6 +343,13 @@ def _cmd_trace(args) -> int:
     return 0
 
 
+_BACKEND_HELP = (
+    "batch execution: fused (one in-process kernel call), thread or "
+    "process (fan-out); +compiled runs the C kernel (numpy without a "
+    "C compiler), a bare pool name the numpy kernel"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="recoil",
@@ -393,11 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="concurrent-client counts to sweep")
     b.add_argument("--repeats", type=int, default=2,
                    help="best-of repeat count per measurement")
-    b.add_argument("--backend", default="fused",
+    b.add_argument("--backend", default="fused+compiled",
                    choices=compiled.backend_choices(("fused", "thread", "process")),
-                   help="batch execution backend: one in-process fused "
-                   "kernel call, a thread fan-out, or sharded worker "
-                   "processes over shared memory")
+                   help=_BACKEND_HELP)
     b.add_argument("--workers", type=int, default=8,
                    help="fan-out worker count for thread/process backends")
     b.add_argument("--faults", default=None, metavar="SPEC",
@@ -421,9 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
                    "RETRY_AFTER")
     v.add_argument("--drain-timeout", type=float, default=5.0,
                    help="grace (s) for in-flight requests at shutdown")
-    v.add_argument("--backend", default="fused",
+    v.add_argument("--backend", default="fused+compiled",
                    choices=compiled.backend_choices(("fused", "thread", "process")),
-                   help="batch execution backend")
+                   help=_BACKEND_HELP)
     v.add_argument("--workers", type=int, default=2,
                    help="fan-out worker count for thread/process backends")
     v.add_argument("--demo-assets", type=int, default=2,
@@ -479,9 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="offered request rate (Poisson arrivals, Hz)")
     lb.add_argument("--duration", type=float, default=2.0,
                     help="open-loop run length in seconds")
-    lb.add_argument("--backend", default="fused",
+    lb.add_argument("--backend", default="fused+compiled",
                     choices=compiled.backend_choices(("fused", "thread", "process")),
-                    help="batch execution backend")
+                    help=_BACKEND_HELP)
     lb.add_argument("--workers", type=int, default=2,
                     help="fan-out worker count for thread/process backends")
     lb.add_argument("--max-connections", type=int, default=64,

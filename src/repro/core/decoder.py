@@ -69,12 +69,10 @@ def build_thread_tasks(
                 )
             )
         else:
-            activations = [
-                (int(idx), lane, int(state))
-                for lane, (idx, state) in enumerate(
-                    zip(entry.lane_indices, entry.lane_states)
-                )
-            ]
+            activations = np.column_stack(
+                (entry.lane_indices, np.arange(entry.lanes),
+                 entry.lane_states.astype(np.int64))
+            )
             tasks.append(
                 ThreadTask(
                     start_pos=entry.word_offset,
@@ -108,11 +106,12 @@ class RecoilDecoder:
             provider = StaticModelProvider(provider)
         self.provider = provider
         self.lanes = lanes
-        # One engine for the decoder's lifetime: its scratch arena is
-        # reused across decode calls (DESIGN.md §9).
-        self._engine = LaneEngine(provider, lanes)
-        # Built on first ``engine="compiled"`` decode (DESIGN.md §19).
-        self._compiled_engine: LaneEngine | None = None
+        # One engine per kernel for the decoder's lifetime, so scratch
+        # arenas are reused across decode calls (DESIGN.md §9).
+        self._engines = {
+            name: LaneEngine(provider, lanes, kernel=kernel)
+            for name, kernel in (("compiled", "compiled"), ("fused", "numpy"))
+        }
 
     def _out_dtype(self):
         return self.provider.out_dtype
@@ -123,17 +122,17 @@ class RecoilDecoder:
         final_states: np.ndarray,
         metadata: RecoilMetadata,
         max_threads: int | None = None,
-        engine: str = "fused",
+        engine: str = "compiled",
     ) -> RecoilDecodeResult:
         """Decode using every split in ``metadata``.
 
         ``max_threads`` optionally combines splits first (client-side
         equivalent of the server's shrinking — useful when the decoder
         received more metadata than it has cores).  ``engine`` selects
-        the fused wide-lane kernel (default), the ``"compiled"``
-        variant of its steady-state loop (DESIGN.md §19 — falls back
-        to numpy without a toolchain), or the ``"reference"`` masked
-        loop for differential testing.
+        the compiled whole-walk kernel (default; DESIGN.md §19 — falls
+        back to numpy without a toolchain), the numpy ``"fused"``
+        wide-lane kernel, or the ``"reference"`` masked loop for
+        differential testing.
         """
         if metadata.lanes != self.lanes:
             raise DecodeError(
@@ -146,18 +145,10 @@ class RecoilDecoder:
             metadata = metadata.combine(max_threads)
         tasks = build_thread_tasks(metadata, len(words), final_states)
         out = np.empty(metadata.num_symbols, dtype=self._out_dtype())
-        if engine == "compiled":
-            if self._compiled_engine is None:
-                self._compiled_engine = LaneEngine(
-                    self.provider, self.lanes, kernel="compiled"
-                )
-            run = self._compiled_engine.run
+        if engine == "reference":
+            run = self._engines["fused"].run_reference
         else:
-            run = (
-                self._engine.run
-                if engine == "fused"
-                else self._engine.run_reference
-            )
+            run = self._engines[engine].run
         stats = run(words, tasks, out)
         return RecoilDecodeResult(
             symbols=out,

@@ -81,7 +81,7 @@ class RecoilEncoder:
         self._encoder = InterleavedEncoder(provider, lanes)
 
     def encode(
-        self, data: np.ndarray, num_threads: int, kernel: str = "numpy"
+        self, data: np.ndarray, num_threads: int, kernel: str = "compiled"
     ) -> RecoilEncoded:
         """Encode ``data`` and select up to ``num_threads - 1`` splits.
 
@@ -91,7 +91,7 @@ class RecoilEncoder:
         pass runs on the fused wide-lane encode kernel, which records
         the renormalization events in-kernel; the split selector
         consumes the preassembled event arrays directly.  ``kernel``
-        selects the numpy (default) or compiled sweep loop — both
+        selects the compiled (default) or numpy sweep loop — both
         produce bit-identical streams and events (DESIGN.md §19).
         """
         enc = self._encoder.encode(

@@ -147,6 +147,8 @@ def parse_metadata(blob: bytes, offset: int = 0) -> tuple[RecoilMetadata, int]:
     num_symbols, pos = decode_uvarint(blob, pos)
     num_words, pos = decode_uvarint(blob, pos)
     num_entries, pos = decode_uvarint(blob, pos)
+    if lanes < 1:
+        raise MetadataError(f"metadata lane count {lanes} must be >= 1")
     if num_entries == 0:
         return RecoilMetadata(num_symbols, num_words, lanes, []), pos
     # Every entry consumes at least one bit of the section; a count

@@ -1,36 +1,27 @@
-"""Compiled twins of the steady-state kernel loops (DESIGN.md §19).
+"""The compiled kernels: C twins of the fused loops (DESIGN.md §19).
 
-The fused kernels (:mod:`repro.parallel.fused`, ``fused_encode``,
-:mod:`repro.tans.fused`) are numpy straight-line code: tens of numpy
-dispatches per steady-state step, far from memory-bandwidth-bound.
-This module provides compiled equivalents of exactly those steady
-loops — nothing else: head/tail phases, planning, event
-reconstruction and the stitch stay in numpy, where masks and
-allocation patterns make a compiled rewrite risk without payoff.
+A small C source is compiled once with the host C compiler into a
+shared library driven through :mod:`ctypes` (foreign calls release the
+GIL), cached under the system temp directory by source hash so later
+processes only pay a ``dlopen``.  It holds ``recoil_rans_walk`` — the
+*whole* rANS decode walk of every task in one call, every memory
+access bounds-checked — plus the encode sweep
+(:mod:`repro.parallel.fused_encode`) and the tANS speculative safe
+runs (:mod:`repro.tans.fused`).
 
-Two toolchains are probed, in order:
+``"compiled"`` is the default kernel everywhere.  Without a C compiler
+(or with ``REPRO_COMPILED_TOOLCHAIN=none``) every entry point returns
+"not run" and :func:`effective_kernel` resolves ``"compiled"`` to
+``"numpy"`` with a one-time logged notice: the knob surface keeps
+working, it just reports what actually ran.
 
-- **numba** — ``@njit(nogil=True, cache=True)`` twins, compiled
-  eagerly with explicit signatures at warm-up so no lazy compile can
-  land inside a timed region;
-- **cc** — a small C source compiled once into a shared library with
-  the host C compiler and driven through :mod:`ctypes` (foreign calls
-  release the GIL exactly like njit'd code).  The library is cached
-  under the system temp directory keyed by a source hash, so later
-  processes only pay a ``dlopen``.
-
-When neither is available every entry point returns ``False`` (run
-the numpy loop) and :func:`effective_kernel` resolves ``"compiled"``
-to ``"numpy"`` with a one-time logged notice — the knob surface keeps
-working everywhere, it just reports what actually ran.
-
-Bit-identity contract: on success paths the compiled loops perform
-the *same* arithmetic in the same order as the numpy loops they twin
+Bit-identity contract: on success paths the compiled loops perform the
+*same* arithmetic in the same order as the numpy loops they twin
 (uint64 wraparound, descending-lane renormalization reads, truncating
 output stores), so the differential suites assert identical streams,
-split events and overlap stats across kernels.  On error paths
-(bitstream exhaustion) both raise; intermediate buffer contents are
-then unobservable and may differ.
+split events and :class:`~repro.parallel.simd.EngineStats`.  On error
+paths both raise :class:`DecodeError`; buffer contents are then
+unobservable and may differ.
 """
 
 from __future__ import annotations
@@ -45,32 +36,22 @@ import threading
 
 import numpy as np
 
+from repro.rans.constants import L_BOUND, RENORM_BITS
+
 log = logging.getLogger("repro.compiled")
 
 #: kernel implementations selectable through every ``backend=`` knob.
 KERNELS = ("numpy", "compiled")
 
-#: pool backends a composed backend string may name (mirrors
-#: :data:`repro.parallel.executor.BACKENDS` plus the serve-level
-#: ``"fused"`` direct path).
-_POOLS = ("thread", "process", "fused")
-
-_ENV_TOOLCHAIN = "REPRO_COMPILED_TOOLCHAIN"  # auto|numba|cc|none
+_ENV_TOOLCHAIN = "REPRO_COMPILED_TOOLCHAIN"  # auto|cc|none
 
 _lock = threading.Lock()
 _state: dict = {
-    "toolchain": None,  # resolved lazily: "numba" | "cc" | "none"
-    "impl": None,  # dict of callables once a toolchain is up
+    "toolchain": None,  # resolved lazily: "cc" | "none"
+    "impl": None,  # the bound library once a toolchain is up
     "compile_events": 0,
     "warned_fallback": False,
 }
-
-# uint64 copies of narrow gather tables, keyed by id() of the source
-# array; the source is kept alive in the value so ids cannot be
-# recycled.  Bounded: one entry per live DecodeTables (per provider).
-_U64_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_U64_CACHE_MAX = 64
-
 
 # ---------------------------------------------------------------------------
 # Backend-string parsing: one knob selects pool and kernel together.
@@ -131,25 +112,14 @@ def _find_cc() -> str | None:
 
 def _detect_toolchain() -> str:
     forced = os.environ.get(_ENV_TOOLCHAIN, "auto").lower()
-    if forced == "none":
-        return "none"
-    if forced in ("numba", "auto"):
-        try:
-            import numba  # noqa: F401
-
-            return "numba"
-        except Exception:
-            if forced == "numba":
-                return "none"
-    if forced in ("cc", "auto"):
-        if _find_cc() is not None:
-            return "cc"
+    if forced in ("cc", "auto") and _find_cc() is not None:
+        return "cc"
     return "none"
 
 
 def toolchain() -> str:
-    """The compiled toolchain in use: ``"numba"``, ``"cc"`` or
-    ``"none"`` (override with ``REPRO_COMPILED_TOOLCHAIN``)."""
+    """The compiled toolchain in use: ``"cc"`` or ``"none"``
+    (override with ``REPRO_COMPILED_TOOLCHAIN=auto|cc|none``)."""
     with _lock:
         if _state["toolchain"] is None:
             _state["toolchain"] = _detect_toolchain()
@@ -182,24 +152,24 @@ def effective_kernel(requested: str) -> str:
             _state["warned_fallback"] = True
             log.warning(
                 "compiled kernel requested but no toolchain is available "
-                "(numba not importable, no C compiler on PATH); "
+                "(no C compiler on PATH, or REPRO_COMPILED_TOOLCHAIN=none); "
                 "falling back to the numpy kernels"
             )
     return "numpy"
 
 
 def compile_events() -> int:
-    """Monotonic count of actual kernel compilations (numba eager
-    compiles and C-compiler invocations; cache hits do not count).
+    """Monotonic count of actual C-compiler invocations (cache hits
+    do not count).
     Benchmarks and the serve path assert this stays constant across
     timed regions after :func:`warm_up`."""
     with _lock:
         return _state["compile_events"]
 
 
-def _count_compile(n: int = 1) -> None:
+def _count_compile() -> None:
     with _lock:
-        _state["compile_events"] += n
+        _state["compile_events"] += 1
 
 
 def reset_for_tests() -> None:
@@ -217,55 +187,186 @@ def reset_for_tests() -> None:
 
 _C_SOURCE = r"""
 #include <stdint.h>
+#include <string.h>
 
-/* Steady-state rANS decode (twin of the fused.py steady loop).
-   Per iteration, per task: renormalization reads in descending lane
-   order, then Eq. 2 via the slot-indexed uint64 tables, then the
-   truncating little-endian output store.  Returns 1 when the stream
-   exhausts (caller raises), else 0. */
-int64_t recoil_rans_steady(
-    uint64_t *x, int64_t *pos,
-    const uint64_t *words, int64_t W,
+/* Whole-walk rANS decode (DESIGN.md §19).  Each task walks from walk_hi
+   down to walk_lo one interleave group per iteration, like the numpy
+   loop in fused.py: install due activations, Eq. 4 reads in descending
+   lane order, Eq. 2 via the slot-indexed tables, store what is
+   committed; then the terminal drain.  Every word read, out write, ids
+   read, table index and lane is checked against the lengths passed in;
+   a violation returns ERR_* with task and position in info[3..4].  Walk
+   errors beat drain errors, the first drain error in task order wins.
+   geom rows: fused.py's GEOM_COLUMNS; acts rows: (iteration, lane,
+   state); info[0..2]: symbols decoded, words read, iterations. */
+
+enum { ERR_READ = 1, ERR_START, ERR_OUT, ERR_MODEL, ERR_LANE, ERR_DRAIN,
+       ERR_CONSUMED, ERR_STATE, ERR_GEOMETRY };
+
+#define SAFE (((int64_t)1) << 60)  /* keeps all index sums in int64 */
+
+static inline uint64_t word_at(const uint8_t *words, int64_t i)
+{   /* the payload view may be unaligned */
+    uint16_t w;
+    memcpy(&w, words + 2 * i, 2);
+    return w;
+}
+
+static inline void put(uint8_t *dst, int64_t size, uint64_t v)
+{   /* truncating native-endian store */
+    uint8_t b = (uint8_t)v;
+    uint16_t h = (uint16_t)v;
+    uint32_t w = (uint32_t)v;
+    switch (size) {
+    case 1: memcpy(dst, &b, 1); break;
+    case 2: memcpy(dst, &h, 2); break;
+    case 4: memcpy(dst, &w, 4); break;
+    default: memcpy(dst, &v, 8);
+    }
+}
+
+int64_t recoil_rans_walk(
+    const int64_t *geom, int64_t T, int64_t K, uint64_t *x,
+    const int64_t *act_off, const int64_t *acts, int64_t A,
+    const uint8_t *words, int64_t W,
     const uint64_t *freq, const uint64_t *bias, const uint64_t *sym,
-    const uint64_t *ids,  /* NULL for a static model */
-    uint64_t slot_count, uint64_t slot_mask,
-    uint64_t shift, uint64_t rb, uint64_t lbound,
-    uint8_t *out, int64_t itemsize,
-    int64_t *out_idx,
-    int64_t T, int64_t K, int64_t iters)
+    int64_t n_tab, const uint64_t *ids, int64_t n_ids,
+    uint64_t slots, uint64_t shift, uint64_t rb, uint64_t lbound,
+    uint8_t *out, int64_t n_out, int64_t size, int64_t *info)
 {
-    for (int64_t it = 0; it < iters; ++it) {
-        for (int64_t t = 0; t < T; ++t) {
-            uint64_t *xr = x + t * K;
-            int64_t *oi = out_idx + t * K;
-            int64_t cnt = 0;
-            for (int64_t l = K - 1; l >= 0; --l) {
-                if (xr[l] < lbound) {
-                    int64_t src = pos[t] - cnt;
-                    cnt++;
-                    if (src < 0) src = 0;
-                    if (src >= W) src = W - 1;
-                    xr[l] = (xr[l] << rb) | words[src];
+    const uint64_t slot_mask = (((uint64_t)1) << (shift & 63)) - 1;
+    const uint64_t full = K >= 64 ? ~(uint64_t)0 : (((uint64_t)1) << K) - 1;
+    int64_t symbols = 0, words_read = 0, iters = 0;
+    int64_t err = 0, err_task = 0, err_pos = 0;
+
+    info[3] = info[4] = 0;
+    if (K < 1 || K > 64 || shift >= 64 || rb >= 64 || act_off[0] != 0
+        || act_off[T] != A || (size != 1 && size != 2 && size != 4
+        && size != 8) || (!ids && slot_mask >= (uint64_t)n_tab))
+        return ERR_GEOMETRY;
+    for (int64_t t = 0; t < T; ++t) {
+        const int64_t *g = geom + 9 * t;
+        info[3] = t;
+        info[4] = g[0];
+        if (g[0] >= W)
+            return ERR_START;
+        for (int c = 0; c < 7; ++c)
+            if (g[c] < -SAFE || g[c] > SAFE)
+                return ERR_GEOMETRY;
+        if (act_off[t + 1] < act_off[t] || act_off[t + 1] > A)
+            return ERR_GEOMETRY;
+    }
+
+    for (int64_t t = 0; t < T; ++t) {
+        const int64_t *g = geom + 9 * t;
+        const int64_t lo = g[2], c_hi = g[3], c_lo = g[4], offs = g[5];
+        uint64_t *xr = x + t * K, active = g[8] ? full : 0;
+        int64_t pos = g[0], cur = g[1], r = 0, ap = act_off[t];
+        info[3] = t;
+        for (; cur >= lo; ++r) {
+            for (; ap < act_off[t + 1] && acts[3 * ap] <= r; ++ap) {
+                const int64_t lane = acts[3 * ap + 1];
+                if (lane < 0 || lane >= K)
+                    return ERR_LANE;
+                xr[lane] = (uint64_t)acts[3 * ap + 2];
+                active |= ((uint64_t)1) << lane;
+            }
+            const int64_t base = ((cur - 1) / K - ((cur - 1) % K < 0)) * K;
+            const int64_t sl = lo > base + 1 ? lo : base + 1;
+            const int64_t la = sl - base - 1, lb = cur - base - 1;
+            const int64_t o0 = offs + base;  /* out position of lane 0 */
+            int64_t src = pos;
+            if (active == full && la == 0 && lb == K - 1 && base + 1 >= c_lo
+                && base + K <= c_hi && o0 >= 0 && o0 + K <= n_out
+                && (!ids || o0 + K <= n_ids)) {
+                /* Steady group: all lanes live, full and committed; the
+                   out/ids span is checked once for the whole group. */
+                for (int64_t l = K - 1; l >= 0; --l) {
+                    if (xr[l] < lbound) {
+                        if (src < 0)
+                            return info[4] = src, ERR_READ;
+                        xr[l] = (xr[l] << rb) | word_at(words, src--);
+                    }
+                }
+                for (int64_t l = 0; l < K; ++l) {
+                    const uint64_t xv = xr[l];
+                    uint64_t fl = (xv & slot_mask)
+                        + (ids ? ids[o0 + l] * slots : 0);
+                    if (fl >= (uint64_t)n_tab)
+                        return ERR_MODEL;
+                    xr[l] = freq[fl] * (xv >> shift) + bias[fl];
+                    put(out + (o0 + l) * size, size, sym[fl]);
+                }
+                symbols += K;
+            } else {
+                for (int64_t l = lb; l >= la; --l) {
+                    if ((active >> l & 1) && xr[l] < lbound) {
+                        if (src < 0)
+                            return info[4] = src, ERR_READ;
+                        xr[l] = (xr[l] << rb) | word_at(words, src--);
+                    }
+                }
+                for (int64_t l = la; l <= lb; ++l) {
+                    if (!(active >> l & 1))
+                        continue;
+                    const uint64_t xv = xr[l];
+                    const int64_t o = o0 + l;
+                    uint64_t fl = xv & slot_mask;
+                    if (ids) {  /* clipped, like the numpy gather */
+                        const int64_t i = o < 0 ? 0 : o < n_ids ? o : n_ids - 1;
+                        if (i < 0)
+                            return ERR_MODEL;
+                        fl += ids[i] * slots;
+                    }
+                    if (fl >= (uint64_t)n_tab)
+                        return ERR_MODEL;
+                    xr[l] = freq[fl] * (xv >> shift) + bias[fl];
+                    ++symbols;
+                    if (base + l + 1 < c_lo || base + l + 1 > c_hi)
+                        continue;
+                    if (o < 0 || o >= n_out)
+                        return ERR_OUT;
+                    put(out + o * size, size, sym[fl]);
                 }
             }
-            pos[t] -= cnt;
-            if (pos[t] < -1) return 1;
-            for (int64_t l = 0; l < K; ++l) {
-                uint64_t xv = xr[l];
-                uint64_t slot = xv & slot_mask;
-                uint64_t fl = ids
-                    ? ids[oi[l]] * slot_count + slot
-                    : slot;
-                uint64_t sv = sym[fl];
-                xr[l] = freq[fl] * (xv >> shift) + bias[fl];
-                uint8_t *dst = out + oi[l] * itemsize;
-                for (int64_t b = 0; b < itemsize; ++b)
-                    dst[b] = (uint8_t)(sv >> (8 * b));
-                oi[l] -= K;
+            words_read += pos - src;
+            pos = src;
+            cur = sl - 1;
+        }
+        iters = r > iters ? r : iters;
+
+        /* Terminal drain: every lane reads back to L, and the stream
+           position lands exactly on terminal_pos. */
+        if (!g[7] || err)
+            continue;
+        for (int64_t l = K - 1; l >= 0 && !err; --l) {
+            while (xr[l] < lbound && !err) {
+                if (pos <= g[6])
+                    err = ERR_DRAIN;
+                else if (pos < 0)
+                    return info[4] = pos, ERR_READ;
+                else {
+                    xr[l] = (xr[l] << rb) | word_at(words, pos--);
+                    ++words_read;
+                }
             }
         }
+        if (!err && pos != g[6])
+            err = ERR_CONSUMED;
+        for (int64_t l = 0; l < K && !err; ++l)
+            if (xr[l] != lbound)
+                err = ERR_STATE;
+        if (err) {
+            err_task = t;
+            err_pos = pos;
+        }
     }
-    return 0;
+    info[0] = symbols;
+    info[1] = words_read;
+    info[2] = iters;
+    info[3] = err_task;
+    info[4] = err_pos;
+    return err;
 }
 
 /* Steady-phase rANS encode sweep (twin of run_blocks' zip loop):
@@ -327,7 +428,7 @@ int64_t recoil_tans_safe_run(
 
 
 def _build_cc_lib():
-    """Compile (or reuse) the shared library and wire up ctypes."""
+    """Compile (or reuse) the shared library and bind it."""
     digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
     cache_dir = os.path.join(
         tempfile.gettempdir(), f"repro-kernels-{os.getuid()}"
@@ -354,18 +455,21 @@ def _build_cc_lib():
             return None
         _count_compile()
     try:
-        lib = ctypes.CDLL(so_path)
+        return _bind(ctypes.CDLL(so_path))
     except OSError as exc:
         log.warning("C kernel load failed: %s", exc)
         return None
 
+
+def _bind(lib):
+    """Declare the entry points' signatures on a loaded library."""
     p = ctypes.c_void_p
     i64 = ctypes.c_int64
     u64 = ctypes.c_uint64
-    lib.recoil_rans_steady.restype = i64
-    lib.recoil_rans_steady.argtypes = [
-        p, p, p, i64, p, p, p, p, u64, u64, u64, u64, u64,
-        p, i64, p, i64, i64, i64,
+    lib.recoil_rans_walk.restype = i64
+    lib.recoil_rans_walk.argtypes = [
+        p, i64, i64, p, p, p, i64, p, i64, p, p, p, i64, p, i64,
+        u64, u64, u64, u64, p, i64, i64, p,
     ]
     lib.recoil_rans_encode_sweep.restype = None
     lib.recoil_rans_encode_sweep.argtypes = [
@@ -375,203 +479,24 @@ def _build_cc_lib():
     lib.recoil_tans_safe_run.argtypes = [
         p, p, i64, p, p, p, i64, p, i64, i64, i64,
     ]
-
-    def rans_steady(x, pos, words, freq, bias, sym, ids,
-                    slot_count, slot_mask, shift, rb, lbound,
-                    out8, itemsize, out_idx, iters):
-        T, K = x.shape
-        return int(lib.recoil_rans_steady(
-            x.ctypes.data, pos.ctypes.data,
-            words.ctypes.data, len(words),
-            freq.ctypes.data, bias.ctypes.data, sym.ctypes.data,
-            ids.ctypes.data if ids is not None else None,
-            slot_count, slot_mask, shift, rb, lbound,
-            out8.ctypes.data, itemsize, out_idx.ctypes.data,
-            T, K, iters,
-        ))
-
-    def encode_sweep(X, bb, fb, cb, db, need, rb, bg, W):
-        lib.recoil_rans_encode_sweep(
-            X.ctypes.data, bb.ctypes.data, fb.ctypes.data,
-            cb.ctypes.data, db.ctypes.data, need.ctypes.data,
-            rb, bg, W,
-        )
-
-    def tans_safe(traj_pos, traj_state, pos, state, pk,
-                  table_size, win24, live, step, safe):
-        return int(lib.recoil_tans_safe_run(
-            traj_pos.ctypes.data, traj_state.ctypes.data,
-            traj_pos.shape[1],
-            pos.ctypes.data, state.ctypes.data,
-            pk.ctypes.data, table_size, win24.ctypes.data,
-            live, step, safe,
-        ))
-
-    return {
-        "rans_steady": rans_steady,
-        "encode_sweep": encode_sweep,
-        "tans_safe": tans_safe,
-    }
+    return lib
 
 
-# ---------------------------------------------------------------------------
-# The numba leg.
-# ---------------------------------------------------------------------------
-
-
-def _build_numba_lib():
-    try:
-        import numba
-        from numba import types
-    except Exception:
-        return None
-
-    u64a = types.uint64[::1]
-    u642 = types.uint64[:, ::1]
-    i64a = types.int64[::1]
-    i642 = types.int64[:, ::1]
-    u8a = types.uint8[::1]
-    b2 = types.boolean[:, ::1]
-    i64 = types.int64
-    u64 = types.uint64
-
-    steady_sig = i64(
-        u642, i64a, u64a, u64a, u64a, u64a, u64a, types.boolean,
-        u64, u64, u64, u64, u64, u8a, i64, i642, i64,
-    )
-    sweep_sig = types.void(
-        u642, u642, u642, u642, u642, b2, u64, i64, i64
-    )
-    tans_sig = i64(i642, i642, i64a, i64a, i64a, i64, i64a, i64, i64, i64)
-
-    try:
-        @numba.njit(steady_sig, nogil=True, cache=True)
-        def _steady(x, pos, words, freq, bias, sym, ids, use_ids,
-                    slot_count, slot_mask, shift, rb, lbound,
-                    out8, itemsize, out_idx, iters):
-            T, K = x.shape
-            W = np.int64(len(words))
-            for _ in range(iters):
-                for t in range(T):
-                    cnt = np.int64(0)
-                    for l in range(K - 1, -1, -1):
-                        if x[t, l] < lbound:
-                            src = pos[t] - cnt
-                            cnt += 1
-                            if src < 0:
-                                src = 0
-                            if src >= W:
-                                src = W - 1
-                            x[t, l] = (x[t, l] << rb) | words[src]
-                    pos[t] -= cnt
-                    if pos[t] < -1:
-                        return 1
-                    for l in range(K):
-                        xv = x[t, l]
-                        slot = xv & slot_mask
-                        if use_ids:
-                            fl = ids[out_idx[t, l]] * slot_count + slot
-                        else:
-                            fl = slot
-                        sv = sym[fl]
-                        x[t, l] = freq[fl] * (xv >> shift) + bias[fl]
-                        base = out_idx[t, l] * itemsize
-                        for b in range(itemsize):
-                            out8[base + b] = np.uint8(
-                                sv >> np.uint64(8 * b)
-                            )
-                        out_idx[t, l] -= K
-            return 0
-
-        @numba.njit(sweep_sig, nogil=True, cache=True)
-        def _sweep(X, bb, fb, cb, db, need, rb, bg, W):
-            for i in range(bg):
-                for w in range(W):
-                    x0 = X[i, w]
-                    keep = x0 < bb[i, w]
-                    need[i, w] = keep
-                    if keep:
-                        xr = x0
-                    else:
-                        xr = x0 >> rb
-                    q = xr // fb[i, w]
-                    X[i + 1, w] = xr + q * cb[i, w] + db[i, w]
-
-        @numba.njit(tans_sig, nogil=True, cache=True)
-        def _tans(traj_pos, traj_state, pos, state, pk,
-                  table_size, win24, live, step, safe):
-            for _ in range(safe):
-                for k in range(live):
-                    p = pos[k]
-                    xx = state[k]
-                    traj_pos[step, k] = p
-                    traj_state[step, k] = xx
-                    g = pk[xx - table_size]
-                    nb = (g >> 17) & 31
-                    sh = 24 - (p & 7) - nb
-                    state[k] = (g >> 22) + (
-                        (win24[p >> 3] >> sh) & (g & 0x1FFFF)
-                    )
-                    pos[k] = p + nb
-                step += 1
-            return step
-    except Exception as exc:  # pragma: no cover - numba version drift
-        log.warning("numba kernel compilation failed: %s", exc)
-        return None
-    # Three eager compiles (explicit signatures) just happened.
-    _count_compile(3)
-
-    _empty_u64 = np.empty(0, dtype=np.uint64)
-
-    def rans_steady(x, pos, words, freq, bias, sym, ids,
-                    slot_count, slot_mask, shift, rb, lbound,
-                    out8, itemsize, out_idx, iters):
-        use_ids = ids is not None
-        return _steady(
-            x, pos, words, freq, bias, sym,
-            ids if use_ids else _empty_u64, use_ids,
-            np.uint64(slot_count), np.uint64(slot_mask),
-            np.uint64(shift), np.uint64(rb), np.uint64(lbound),
-            out8, itemsize, out_idx, iters,
-        )
-
-    def encode_sweep(X, bb, fb, cb, db, need, rb, bg, W):
-        _sweep(X, bb, fb, cb, db, need, np.uint64(rb), bg, W)
-
-    def tans_safe(traj_pos, traj_state, pos, state, pk,
-                  table_size, win24, live, step, safe):
-        return _tans(traj_pos, traj_state, pos, state, pk,
-                     table_size, win24, live, step, safe)
-
-    return {
-        "rans_steady": rans_steady,
-        "encode_sweep": encode_sweep,
-        "tans_safe": tans_safe,
-    }
-
-
-def _impl() -> dict | None:
-    """The active toolchain's kernel table (built once), or None."""
+def _impl():
+    """The bound library (built once), or None without a toolchain."""
     with _lock:
         impl = _state["impl"]
         if impl is not None:
-            return impl or None  # {} marks a failed build
+            return impl or None  # False marks a failed build
         if _state["toolchain"] is None:
             _state["toolchain"] = _detect_toolchain()
         tc = _state["toolchain"]
     # Build outside the lock: compilation can take seconds and the
-    # builders only touch process-wide caches idempotently.
-    if tc == "numba":
-        impl = _build_numba_lib()
-        if impl is None:  # numba present but broken: degrade to cc
-            impl = _build_cc_lib()
-    elif tc == "cc":
-        impl = _build_cc_lib()
-    else:
-        impl = None
+    # builder only touches process-wide caches idempotently.
+    impl = _build_cc_lib() if tc == "cc" else None
     with _lock:
         if _state["impl"] is None:
-            _state["impl"] = impl if impl is not None else {}
+            _state["impl"] = impl if impl is not None else False
         return _state["impl"] or None
 
 
@@ -581,33 +506,25 @@ def warm_up() -> str:
     region.  Returns the kernel that will actually run
     (``"compiled"`` or ``"numpy"``).  Idempotent and cheap after the
     first call."""
-    impl = _impl()
-    if impl is None:
+    if _impl() is None:
         return "numpy"
-    # rANS steady: 1 task x 1 lane, one iteration over a synthetic
-    # always-above-threshold state (no renormalization read fires).
-    words = np.zeros(1, dtype=np.uint64)
+    # rANS walk: one task, one live lane, one symbol.
+    from repro.parallel.fused import plan_tasks
+    from repro.parallel.simd import ThreadTask
+
+    plan = plan_tasks(
+        [ThreadTask(0, 1, 1, 1, 1, initial_states=np.array([L_BOUND]))], 1
+    )
     tab = np.ones(2, dtype=np.uint64)
-    out8 = np.zeros(8, dtype=np.uint8)
-    for ids in (None, np.zeros(2, dtype=np.uint64)):
-        x = np.full((1, 1), 1 << 16, dtype=np.uint64)
-        pos = np.zeros(1, dtype=np.int64)
-        oi = np.zeros((1, 1), dtype=np.int64)
-        impl["rans_steady"](
-            x, pos, words, tab, tab, tab, ids,
-            1, 1, 1, 16, 1 << 16, out8, 1, oi, 1,
-        )
-    X = np.full((2, 1), 1 << 16, dtype=np.uint64)
+    for ids in (None, tab):
+        rans_walk(plan, np.zeros(1, np.uint16), tab, tab, tab, ids, 1, 1,
+                  np.zeros(1, np.uint8))
     ops = np.ones((1, 1), dtype=np.uint64)
-    need = np.zeros((1, 1), dtype=bool)
-    impl["encode_sweep"](X, ops, ops, ops, ops, need, 16, 1, 1)
-    tp = np.zeros((1, 1), dtype=np.int64)
-    ts = np.zeros((1, 1), dtype=np.int64)
-    pz = np.zeros(1, dtype=np.int64)
-    sz = np.zeros(1, dtype=np.int64)
-    pk = np.zeros(1, dtype=np.int64)
-    win = np.zeros(4, dtype=np.int64)
-    impl["tans_safe"](tp, ts, pz, sz, pk, 0, win, 1, 0, 1)
+    encode_sweep(np.full((2, 1), L_BOUND, np.uint64), ops, ops, ops, ops,
+                 np.zeros((1, 1), bool), RENORM_BITS)
+    z = np.zeros((1, 1), dtype=np.int64)
+    tans_safe_run(z, z.copy(), z[0].copy(), z[0].copy(), z[0].copy(), 0,
+                  np.zeros(4, np.int64), 0, 1)
     return "compiled"
 
 
@@ -617,76 +534,76 @@ def warm_up() -> str:
 # ---------------------------------------------------------------------------
 
 
-def _u64_view(arr: np.ndarray) -> np.ndarray:
-    """A cached C-contiguous uint64 copy of a gather table."""
-    arr = np.ascontiguousarray(arr)
-    if arr.dtype == np.uint64:
-        return arr
-    # Key on the owning buffer (kept alive in the value, so the id
-    # cannot be recycled) plus the view geometry.
-    owner = arr.base if arr.base is not None else arr
-    key = (id(owner), arr.shape, str(arr.dtype), arr.ctypes.data)
-    hit = _U64_CACHE.get(key)
-    if hit is not None:
-        return hit[1]
-    if len(_U64_CACHE) >= _U64_CACHE_MAX:
-        _U64_CACHE.clear()
-    conv = arr.astype(np.uint64)
-    _U64_CACHE[key] = (arr, conv)
-    return conv
+#: ``recoil_rans_walk`` error codes -> DecodeError message templates
+#: (``{t}``: task index, ``{p}``: stream position, ``{W}``: words).
+_WALK_ERRORS = {
+    1: "stream read out of range during renormalization "
+       "(corrupt metadata or truncated payload; task {t}, pos {p})",
+    2: "task {t}: start position {p} beyond stream of {W} words",
+    3: "task {t}: output position out of range (corrupt task geometry)",
+    4: "task {t}: model id outside the decode tables",
+    5: "task {t}: activation lane outside the interleave width",
+    6: "task {t}: stream exhausted in terminal drain",
+    7: "task {t}: stream region not fully consumed (pos {p})",
+    8: "task {t}: lanes did not return to the initial state L",
+    9: "task {t}: geometry outside the kernel's supported range",
+}
 
 
-def rans_steady(
-    x: np.ndarray,
-    pos: np.ndarray,
-    words_u64: np.ndarray,
+def rans_walk(
+    plan,
+    words: np.ndarray,
     freq: np.ndarray,
     bias: np.ndarray,
     sym: np.ndarray,
     ids: np.ndarray | None,
     slot_count: int,
-    slot_mask: int,
     quant_bits: int,
-    renorm_bits: int,
-    lbound: int,
     out: np.ndarray,
-    out_idx: np.ndarray,
-    iters: int,
-) -> bool:
-    """Run the full steady-state decode window compiled.
+) -> tuple[int, int, int] | None:
+    """Run the whole decode walk of every task in one C call.
 
-    Mutates ``x``, ``pos``, ``out`` and ``out_idx`` exactly as
-    ``iters`` passes of the numpy steady loop would.  Returns False
-    (nothing mutated) when no toolchain is up or a buffer layout is
-    unsupported; raises :class:`~repro.errors.DecodeError` on stream
-    exhaustion like the numpy loop.
+    ``plan`` is a packed :class:`repro.parallel.fused.TaskPlan`;
+    ``words`` the uint16 stream; ``freq``/``bias``/``sym`` the uint64
+    slot-indexed gather tables (flat across models when ``ids``, the
+    dense per-position model ids, is given); ``out`` the integer output.
+
+    Returns ``(symbols_decoded, words_read, iterations)``, or None
+    (nothing run) when no toolchain is up or the shape is unsupported
+    (a non-integer or strided ``out``, more than 64 lanes).  Raises
+    :class:`~repro.errors.DecodeError` on any corruption the numpy
+    walk detects and on any bounds violation.
     """
-    impl = _impl()
-    if impl is None or iters <= 0:
-        return iters <= 0 and impl is not None
-    if not (
-        out.flags["C_CONTIGUOUS"]
-        and x.flags["C_CONTIGUOUS"]
-        and out_idx.flags["C_CONTIGUOUS"]
-        and words_u64.flags["C_CONTIGUOUS"]
-        and out.dtype.kind in "ui"
-    ):
-        return False
-    freq = _u64_view(freq)
-    bias = _u64_view(bias)
-    sym = _u64_view(sym)
-    if ids is not None:
-        ids = _u64_view(ids)
-    err = impl["rans_steady"](
-        x, pos, words_u64, freq, bias, sym, ids,
-        slot_count, slot_mask, quant_bits, renorm_bits, lbound,
-        out.view(np.uint8), out.dtype.itemsize, out_idx, iters,
+    lib = _impl()
+    T, K = plan.init.shape
+    if lib is None or K > 64 or out.dtype.kind not in "ui":
+        return None
+    if not _contiguous(out):
+        return None
+    x = plan.init.copy()  # the kernel leaves the final states here
+    info = np.zeros(5, dtype=np.int64)
+    err = lib.recoil_rans_walk(
+        plan.geom.ctypes.data, T, K, x.ctypes.data,
+        plan.act_off.ctypes.data, plan.acts.ctypes.data, len(plan.acts),
+        words.ctypes.data, len(words),
+        freq.ctypes.data, bias.ctypes.data, sym.ctypes.data,
+        min(len(freq), len(bias), len(sym)),
+        None if ids is None else ids.ctypes.data,
+        0 if ids is None else len(ids),
+        slot_count, quant_bits, RENORM_BITS, L_BOUND,
+        out.ctypes.data, len(out), out.dtype.itemsize, info.ctypes.data,
     )
     if err:
         from repro.errors import DecodeError
 
-        raise DecodeError("bitstream exhausted during renormalization")
-    return True
+        raise DecodeError(_WALK_ERRORS[err].format(
+            t=int(info[3]), p=int(info[4]), W=len(words)
+        ))
+    return int(info[0]), int(info[1]), int(info[2])
+
+
+def _contiguous(*arrays: np.ndarray) -> bool:
+    return all(a.flags["C_CONTIGUOUS"] for a in arrays)
 
 
 def encode_sweep(
@@ -701,20 +618,14 @@ def encode_sweep(
     """Run one staged encode block compiled (twin of the sequential
     sweep in ``fused_encode.run_blocks``).  ``X[0]`` must hold the
     incoming states; on success ``X[1:]`` and ``need`` are filled."""
-    impl = _impl()
-    if impl is None:
+    lib = _impl()
+    if lib is None or not _contiguous(X, need, bb, fb, cb, db):
         return False
     bg, W = need.shape
-    if not (
-        X.flags["C_CONTIGUOUS"]
-        and need.flags["C_CONTIGUOUS"]
-        and bb.flags["C_CONTIGUOUS"]
-        and fb.flags["C_CONTIGUOUS"]
-        and cb.flags["C_CONTIGUOUS"]
-        and db.flags["C_CONTIGUOUS"]
-    ):
-        return False
-    impl["encode_sweep"](X, bb, fb, cb, db, need, renorm_bits, bg, W)
+    lib.recoil_rans_encode_sweep(
+        X.ctypes.data, bb.ctypes.data, fb.ctypes.data, cb.ctypes.data,
+        db.ctypes.data, need.ctypes.data, renorm_bits, bg, W,
+    )
     return True
 
 
@@ -732,19 +643,13 @@ def tans_safe_run(
     """Run ``safe`` branch-free speculative steps compiled (twin of
     the inner loop of ``fused_speculative_pass``).  Returns the new
     step index, or None when the caller must run the numpy loop."""
-    impl = _impl()
-    if impl is None:
-        return None
-    if not (
-        traj_pos.flags["C_CONTIGUOUS"]
-        and traj_state.flags["C_CONTIGUOUS"]
-        and pos.flags["C_CONTIGUOUS"]
-        and state.flags["C_CONTIGUOUS"]
-        and pk.flags["C_CONTIGUOUS"]
-        and win24.flags["C_CONTIGUOUS"]
+    lib = _impl()
+    if lib is None or not _contiguous(
+        traj_pos, traj_state, pos, state, pk, win24
     ):
         return None
-    return impl["tans_safe"](
-        traj_pos, traj_state, pos, state, pk,
-        table_size, win24, len(pos), step, safe,
-    )
+    return int(lib.recoil_tans_safe_run(
+        traj_pos.ctypes.data, traj_state.ctypes.data, traj_pos.shape[1],
+        pos.ctypes.data, state.ctypes.data, pk.ctypes.data, table_size,
+        win24.ctypes.data, len(pos), step, safe,
+    ))

@@ -1,35 +1,26 @@
-"""Fused wide-lane rANS decode kernel.
+"""Fused wide-lane rANS decode: the task planner and both kernels.
 
-This is the hot path of the whole reproduction (DESIGN.md §8).  The
-reference engine (:meth:`~repro.parallel.simd.LaneEngine.run_reference`)
-models the paper's SIMD/CUDA decoders faithfully but spends most of its
-time in Python/numpy *dispatch*: every iteration rebuilds participation
-masks, reallocates temporaries and re-casts tables for arrays of only
-``tasks x 32`` elements.  The fused kernel keeps the exact same walk
-semantics (DESIGN.md §7) while restructuring the work so that the
-common case — every partition mid-stream, all lanes live, full groups,
-everything committed — runs a minimal straight-line sequence of
-in-place vectorized operations over one flat ``(M*K,)`` state vector.
-This is the paper's decoder-adaptive scalability claim made real in
-Python: combining M partitions widens the effective vector M-fold and
-the per-symbol interpreter overhead drops accordingly.
+:func:`plan_tasks` packs a batch of decoder tasks into flat arrays
+(:class:`TaskPlan`) once; :func:`fused_run` and :func:`fused_run_multi`
+then decode it on one of two kernels with the same walk semantics
+(DESIGN.md §7), bit-identical output and identical
+:class:`~repro.parallel.simd.EngineStats`:
 
-Structure of one run:
-
-1. **Head** (generic masked iterations): partial first groups, lane
-   activations (the Synchronization Phase), commit-range boundaries.
-2. **Steady state**: every task is alive, fully activated, walking
-   full interleave groups that are entirely inside its commit range.
-   No masks, no ``np.where``, no allocation — all operands live in a
-   :class:`~repro.parallel.buffers.ScratchArena` and every Eq. 2
-   table access is a single gather into a pre-materialized
-   slot-indexed uint64 table (:class:`~repro.rans.adaptive.DecodeTables`).
-3. **Tail** (generic again): the final, possibly partial, group of
-   each task plus the terminal drain.
-
-Phase boundaries are computed analytically from the task geometry
-before the loop starts, so the steady loop carries no per-iteration
-phase checks.
+- **compiled** (the default, DESIGN.md §19) — one C call walks every
+  task from top to bottom, activations, commit ranges and terminal
+  drain included, bounds-checking every memory access;
+- **numpy** (the fallback, DESIGN.md §8) — all ``M`` tasks advance in
+  lockstep as one ``(M, K)`` state matrix, one interleave group per
+  iteration.  A **head** of generic masked iterations (partial first
+  groups, lane activations, commit-range boundaries) and a **tail**
+  (the last groups, then the terminal drain) surround a **steady
+  state** — every task alive, fully activated and committed — that
+  runs a straight-line sequence of in-place vectorized operations
+  over arena buffers (:class:`~repro.parallel.buffers.ScratchArena`)
+  with single-gather slot-indexed tables
+  (:class:`~repro.rans.adaptive.DecodeTables`).  The steady window is
+  the intersection of all tasks' windows, computed analytically
+  before the loop, so the steady loop carries no phase checks.
 """
 
 from __future__ import annotations
@@ -40,25 +31,18 @@ import numpy as np
 
 from repro import faults
 from repro.errors import DecodeError
+from repro.parallel import compiled
 from repro.parallel.buffers import ScratchArena
 from repro.parallel.simd import EngineStats, ThreadTask
 from repro.rans.adaptive import AdaptiveModelProvider
 from repro.rans.constants import L_BOUND, RENORM_BITS
 
 
-def _group(index: int, lanes: int) -> int:
-    """0-based interleave group of a 1-based symbol index."""
-    return (index - 1) // lanes
+def _plan_phases(plan: "TaskPlan") -> tuple[int, int, int]:
+    """Analytic iteration geometry of the numpy lockstep loop.
 
-
-def _plan_phases(
-    tasks: list[ThreadTask], lanes: int
-) -> tuple[np.ndarray, int, int, int]:
-    """Analytic iteration geometry for a task batch.
-
-    Returns ``(R, R_total, H, S)`` where ``R[t]`` is task ``t``'s total
-    iteration count, ``R_total`` the global loop length, and
-    ``[H, S)`` the global steady-state window (empty when ``H >= S``).
+    Returns ``(R_total, H, S)``: the global loop length and the global
+    steady-state window ``[H, S)`` (empty when ``H >= S``).
 
     Task ``t`` is *steady* at iteration ``r`` (walking group
     ``g = g_hi - r``) when:
@@ -70,45 +54,113 @@ def _plan_phases(
       ``g*K + 1 >= max(walk_lo, commit_lo)`` and
       ``g*K + K <= min(walk_hi, commit_hi)``.
     """
+    K, T = plan.lanes, len(plan)
+    hi, lo, c_hi, c_lo = plan.geom[:, 1:5].T
+    g_hi = (hi - 1) // K
+    live = hi >= lo  # degenerate tasks are dead on arrival
+    R_total = int(np.where(live, g_hi - (lo - 1) // K + 1, 0).max())
+    owner = np.repeat(np.arange(T), np.diff(plan.act_off))
+    seen = plan.geom[:, 8].astype(bool)[:, None].repeat(K, axis=1)
+    seen[owner, plan.acts[:, 1]] = True
+    act_end = np.zeros(T, dtype=np.int64)
+    np.maximum.at(act_end, owner, plan.acts[:, 0] + 1)
+    g_max = (np.minimum(hi, c_hi) - K) // K  # last group fully below
+    g_min = (np.maximum(lo, c_lo) + K - 2) // K  # first fully above
+    starts = np.maximum(act_end, g_hi - g_max)
+    ends = g_hi - g_min + 1
+    if (live & seen.all(axis=1) & (g_max >= g_min) & (ends > starts)).all():
+        return R_total, int(starts.max()), int(ends.min())
+    return R_total, 0, 0  # some task never reaches steady state
+
+
+#: columns of :attr:`TaskPlan.geom` (``has_init``: ``initial_states`` set).
+GEOM_COLUMNS = (
+    "start_pos", "walk_hi", "walk_lo", "commit_hi", "commit_lo",
+    "global_offset", "terminal_pos", "check_terminal", "has_init",
+)
+
+
+@dataclass(frozen=True)
+class TaskPlan:
+    """A task list packed for the decode kernels (DESIGN.md §19).
+
+    ``geom`` is the ``(T, 9)`` int64 task table (:data:`GEOM_COLUMNS`);
+    ``init`` the ``(T, K)`` initial lane states (``L`` where lanes wait
+    for an activation).  Activations are CSR: task ``t`` owns the
+    ``(iteration, lane, state)`` rows ``acts[act_off[t]:act_off[t+1]]``,
+    ordered by the walk iteration that installs them (ties keep list
+    order, so a later duplicate wins exactly as in the numpy loop).
+    """
+
+    lanes: int
+    geom: np.ndarray
+    init: np.ndarray
+    act_off: np.ndarray
+    acts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.geom)
+
+
+def plan_tasks(tasks: list[ThreadTask], lanes: int) -> TaskPlan:
+    """Validate and pack ``tasks`` for :func:`repro.parallel.compiled.rans_walk`.
+
+    Raises :class:`DecodeError` for an activation outside its walk
+    range or the interleave width, or a mis-shaped ``initial_states``.
+    Both kernels consume the plan; the C kernel still re-checks
+    everything that indexes memory (DESIGN.md §19).
+    """
     K = lanes
     T = len(tasks)
-    R = np.zeros(T, dtype=np.int64)
-    starts = np.zeros(T, dtype=np.int64)
-    ends = np.zeros(T, dtype=np.int64)
-    for ti, t in enumerate(tasks):
-        if t.walk_hi < t.walk_lo:
-            continue  # degenerate: dead on arrival, empty window
-        g_hi = _group(t.walk_hi, K)
-        g_lo = _group(t.walk_lo, K)
-        R[ti] = g_hi - g_lo + 1
+    if K < 1:
+        raise DecodeError(f"interleave width must be >= 1, got {K}")
+    try:
+        geom = np.array(
+            [
+                (t.start_pos, t.walk_hi, t.walk_lo, t.commit_hi,
+                 t.commit_lo, t.global_offset, t.terminal_pos,
+                 bool(t.check_terminal), t.initial_states is not None)
+                for t in tasks
+            ],
+            dtype=np.int64,
+        ).reshape(T, len(GEOM_COLUMNS))
+        per_task = [
+            np.asarray(t.activations, dtype=np.int64).reshape(-1, 3)
+            for t in tasks
+        ]
+    except OverflowError as exc:
+        raise DecodeError(f"task geometry out of range: {exc}") from exc
+    acts = np.concatenate(per_task) if T else np.empty((0, 3), np.int64)
+    init = np.full((T, K), L_BOUND, dtype=np.uint64)
+    for ti in np.flatnonzero(geom[:, 8]):
+        st = np.asarray(tasks[ti].initial_states, dtype=np.uint64)
+        if st.shape != (K,):
+            raise DecodeError(
+                f"task {ti}: initial_states must have shape ({K},)"
+            )
+        init[ti] = st
 
-        act_end = 0
-        covered = t.initial_states is not None
-        if not covered:
-            covered = len({lane for _, lane, _ in t.activations}) >= K
-        if not covered:
-            continue  # some lane never activates: no steady window
-        if t.activations:
-            act_end = max(
-                g_hi - _group(idx, K) for idx, _, _ in t.activations
-            ) + 1
-
-        hi_lim = min(t.walk_hi, t.commit_hi)
-        lo_lim = max(t.walk_lo, t.commit_lo)
-        g_max = (hi_lim - K) // K  # last group fully below hi_lim
-        g_min = (lo_lim + K - 2) // K  # first group fully above lo_lim
-        if g_max < g_min:
-            continue
-        starts[ti] = max(act_end, g_hi - g_max)
-        ends[ti] = g_hi - g_min + 1
-
-    R_total = int(R.max()) if T else 0
-    if T and np.all(ends > starts):
-        H = int(starts.max())
-        S = int(ends.min())
-    else:
-        H, S = 0, 0  # at least one task never reaches steady state
-    return R, R_total, H, S
+    act_off = np.cumsum([0] + [len(a) for a in per_task], dtype=np.int64)
+    owner = np.repeat(np.arange(T), np.diff(act_off))
+    idx, lane = acts[:, 0], acts[:, 1]
+    hi, lo = geom[owner, 1], geom[owner, 2]
+    bad = (idx < lo) | (idx > hi) | (lane < 0) | (lane >= K)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DecodeError(
+            f"task {owner[i]}: activation (index {idx[i]}, lane "
+            f"{lane[i]}) outside walk range [{lo[i]}, {hi[i]}] or "
+            f"lanes [0, {K})"
+        )
+    it = (hi - 1) // K - (idx - 1) // K
+    order = np.lexsort((it, owner))
+    return TaskPlan(
+        lanes=K,
+        geom=geom,
+        init=init,
+        act_off=act_off,
+        acts=np.column_stack((it, lane, acts[:, 2]))[order],
+    )
 
 
 def fused_run(
@@ -118,7 +170,7 @@ def fused_run(
     tasks: list[ThreadTask],
     out: np.ndarray,
     arena: ScratchArena,
-    kernel: str = "numpy",
+    kernel: str = "compiled",
 ) -> EngineStats:
     """Decode every task into ``out`` (same contract as
     :meth:`~repro.parallel.simd.LaneEngine.run`).
@@ -131,22 +183,51 @@ def fused_run(
         position is written by exactly one task.
     :param arena: caller-owned scratch buffers (not thread-safe —
         one arena per concurrently running kernel, DESIGN.md §9).
-    :param kernel: ``"numpy"`` (default) or ``"compiled"`` — run the
-        steady-state window through the compiled twin
-        (:mod:`repro.parallel.compiled`) when a toolchain is up;
-        bit-identical either way, silently numpy otherwise.
+    :param kernel: ``"compiled"`` (default) — the whole walk in one
+        C call (:func:`repro.parallel.compiled.rans_walk`) when a
+        toolchain is up, silently numpy otherwise — or ``"numpy"``,
+        the three-phase lockstep loop.  Bit-identical output and
+        :class:`EngineStats` either way.
     :returns: work counters (iterations, symbols, words read).
     :raises DecodeError: task geometry inconsistent with the stream
         (start/activation out of range), the bitstream exhausting
         mid-walk, or a terminal drain that does not return every lane
         to the initial state ``L``.
     """
-    K = lanes
-    T = len(tasks)
-    stats = EngineStats(tasks=T)
-    if T == 0:
-        return stats
+    return _run_plan(
+        provider, words, plan_tasks(tasks, lanes), out, arena, kernel
+    )
 
+
+def _run_plan(provider, words, plan, out, arena, kernel) -> EngineStats:
+    """Decode a packed plan: one C call for the whole walk, or the
+    numpy loop when asked for or when the compiled kernel cannot run."""
+    if len(plan) == 0:
+        return EngineStats()
+    if kernel == "compiled":
+        tables = provider.decode_tables
+        ran = compiled.rans_walk(
+            plan, np.ascontiguousarray(words, dtype=np.uint16),
+            tables.freq_slot.ravel(), tables.bias_slot.ravel(),
+            tables.sym_u64.ravel(),
+            None if provider.is_static
+            else provider.dense_model_ids(len(out)),
+            tables.slot_count, provider.quant_bits, out,
+        )
+        if ran is not None:
+            symbols, words_read, iterations = ran
+            return EngineStats(
+                iterations=iterations, symbols_decoded=symbols,
+                words_read=words_read, tasks=len(plan),
+                max_task_iterations=iterations,
+            )
+    return _numpy_walk(provider, words, plan, out, arena)
+
+
+def _numpy_walk(provider, words, plan, out, arena) -> EngineStats:
+    """The numpy lockstep loop: head, steady window, tail, drain."""
+    K, T = plan.lanes, len(plan)
+    stats = EngineStats(tasks=T)
     n = provider.quant_bits
     n64 = np.uint64(n)
     rb = np.uint64(RENORM_BITS)
@@ -174,64 +255,30 @@ def fused_run(
     words_u64[:] = words
 
     # ---- task state -----------------------------------------------------
-    for ti, t in enumerate(tasks):
-        if t.start_pos >= W:
-            raise DecodeError(
-                f"task {ti}: start position {t.start_pos} beyond "
-                f"stream of {W} words"
-            )
-    pos = np.array([t.start_pos for t in tasks], dtype=np.int64)
-    cur = np.array([t.walk_hi for t in tasks], dtype=np.int64)
-    lo = np.array([t.walk_lo for t in tasks], dtype=np.int64)
-    c_hi = np.array([t.commit_hi for t in tasks], dtype=np.int64)
-    c_lo = np.array([t.commit_lo for t in tasks], dtype=np.int64)
-    offs = np.array([t.global_offset for t in tasks], dtype=np.int64)
-
+    geom = plan.geom
+    late = np.flatnonzero(geom[:, 0] >= W)
+    if len(late):
+        ti = int(late[0])
+        raise DecodeError(
+            f"task {ti}: start position {geom[ti, 0]} beyond "
+            f"stream of {W} words"
+        )
+    pos = geom[:, 0].copy()
+    cur = geom[:, 1].copy()
+    lo, c_hi, c_lo, offs = geom[:, 2], geom[:, 3], geom[:, 4], geom[:, 5]
     x = arena.get("x", (T, K), np.uint64)
-    x[:] = L_BOUND
+    x[:] = plan.init
     active = arena.get("active", (T, K), bool)
-    active[:] = False
-    for ti, t in enumerate(tasks):
-        if t.initial_states is not None:
-            st = np.asarray(t.initial_states, dtype=np.uint64)
-            if st.shape != (K,):
-                raise DecodeError(
-                    f"task {ti}: initial_states must have shape ({K},)"
-                )
-            x[ti] = st
-            active[ti] = True
+    active[:] = geom[:, 8].astype(bool)[:, None]
 
-    # ---- activation schedule -------------------------------------------
-    act_task: list[int] = []
-    act_lane: list[int] = []
-    act_state: list[int] = []
-    act_iter: list[int] = []
-    for ti, t in enumerate(tasks):
-        g0 = _group(t.walk_hi, K)
-        for idx, lane, state in t.activations:
-            if not t.walk_lo <= idx <= t.walk_hi:
-                raise DecodeError(
-                    f"task {ti}: activation index {idx} outside walk "
-                    f"range [{t.walk_lo}, {t.walk_hi}]"
-                )
-            act_task.append(ti)
-            act_lane.append(lane)
-            act_state.append(state)
-            act_iter.append(g0 - _group(idx, K))
-    if act_task:
-        a_iter = np.array(act_iter)
-        order = np.argsort(a_iter, kind="stable")
-        a_iter = a_iter[order]
-        a_task = np.array(act_task)[order]
-        a_lane = np.array(act_lane)[order]
-        a_state = np.array(act_state, dtype=np.uint64)[order]
-    else:
-        a_iter = np.empty(0, dtype=np.int64)
-        a_task = a_lane = np.empty(0, dtype=np.int64)
-        a_state = np.empty(0, dtype=np.uint64)
+    # ---- activation schedule: by iteration, ties in task/list order ----
+    order = np.argsort(plan.acts[:, 0], kind="stable")
+    a_iter, a_lane, a_state = plan.acts[order].T
+    a_task = np.repeat(np.arange(T), np.diff(plan.act_off))[order]
+    a_state = a_state.astype(np.uint64)
     a_ptr = 0
 
-    _, R_total, H, S = _plan_phases(tasks, K)
+    R_total, H, S = _plan_phases(plan)
 
     lane_col = np.arange(K, dtype=np.int64)[None, :]
     out_dtype = out.dtype
@@ -325,30 +372,13 @@ def fused_run(
         out_idx[:] = (offs + cur - K)[:, None] + lane_col
         pos_sum_before = int(pos.sum())
 
-        ran_compiled = False
-        if kernel == "compiled":
-            from repro.parallel import compiled
-
-            if static:
-                ran_compiled = compiled.rans_steady(
-                    x, pos, words_u64, f1, b1, s1, None,
-                    int(slot_count), int(slot_mask), n, RENORM_BITS,
-                    L_BOUND, out, out_idx, steady_iters,
-                )
-            else:
-                ran_compiled = compiled.rans_steady(
-                    x, pos, words_u64, f_flat, b_flat, s_flat,
-                    ids_dense, int(slot_count), int(slot_mask), n,
-                    RENORM_BITS, L_BOUND, out, out_idx, steady_iters,
-                )
-        if not ran_compiled:
-            _numpy_steady(
-                arena, x, pos, out, out_idx, words_u64, steady_iters,
-                static, tables, slot_mask, lbound, n64, rb, slot_count,
-                None if static else ids_dense,
-                (f1, b1, s1) if static else (f_flat, b_flat, s_flat),
-                T, K,
-            )
+        _numpy_steady(
+            arena, x, pos, out, out_idx, words_u64, steady_iters,
+            static, tables, slot_mask, lbound, n64, rb, slot_count,
+            None if static else ids_dense,
+            (f1, b1, s1) if static else (f_flat, b_flat, s_flat),
+            T, K,
+        )
 
         words_read += pos_sum_before - int(pos.sum())
         symbols_decoded += steady_iters * T * K
@@ -364,14 +394,13 @@ def fused_run(
     stats.max_task_iterations = int(per_task_iters.max()) if T else 0
 
     # ---- terminal drain & checks ---------------------------------------
-    for ti, t in enumerate(tasks):
-        if not t.check_terminal:
-            continue
+    for ti in np.flatnonzero(geom[:, 7]):
+        terminal = int(geom[ti, 6])
         p = int(pos[ti])
         for lane in range(K - 1, -1, -1):
             xv = int(x[ti, lane])
             while xv < L_BOUND:
-                if p <= t.terminal_pos:
+                if p <= terminal:
                     raise DecodeError(
                         f"task {ti}: stream exhausted in terminal drain"
                     )
@@ -379,10 +408,10 @@ def fused_run(
                 p -= 1
                 stats.words_read += 1
             x[ti, lane] = xv
-        if p != t.terminal_pos:
+        if p != terminal:
             raise DecodeError(
                 f"task {ti}: stream region not fully consumed "
-                f"(pos {p}, expected {t.terminal_pos})"
+                f"(pos {p}, expected {terminal})"
             )
         if np.any(x[ti] != L_BOUND):
             raise DecodeError(
@@ -396,10 +425,9 @@ def _numpy_steady(
     static, tables, slot_mask, lbound, n64, rb, slot_count,
     ids_dense, gather_tables, T, K,
 ):
-    """The numpy steady-state loop (the compiled twin's reference).
+    """The numpy steady-state loop.
 
-    Mutates ``x``, ``pos``, ``out`` and ``out_idx`` in place, exactly
-    like :func:`repro.parallel.compiled.rans_steady` does.
+    Mutates ``x``, ``pos``, ``out`` and ``out_idx`` in place.
     """
     need = arena.get("need", (T, K), bool)
     cbuf = arena.get("cbuf", (T, K), np.int64)
@@ -511,11 +539,9 @@ class StreamSegment:
     words: np.ndarray
     tasks: list[ThreadTask] = field(repr=False)
     num_symbols: int
-
-    @property
-    def lane_count(self) -> int:
-        """Task-lanes this segment contributes to a fused batch."""
-        return len(self.tasks)
+    #: ``tasks`` already packed by :func:`plan_tasks` (the serving path
+    #: caches one per shrunk variant); packed on demand when None.
+    plan: TaskPlan | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -528,6 +554,31 @@ class MultiRunResult:
 
     def segment_outputs(self) -> list[np.ndarray]:
         return [self.out[s] for s in self.slices]
+
+
+def _stack_words(
+    segments: list[StreamSegment],
+) -> tuple[np.ndarray, list[int], list[slice], int]:
+    """Concatenate the segments' word streams (a word-buffer object
+    shared by several segments once) and lay their outputs back to
+    back: ``(words, word_bases, out_slices, total_symbols)``."""
+    arrays: dict[int, np.ndarray] = {}  # id(words) -> stream, in order
+    bases: dict[int, int] = {}
+    word_bases, out_slices, n_words, n_syms = [], [], 0, 0
+    for seg in segments:
+        if id(seg.words) not in bases:
+            arrays[id(seg.words)] = np.asarray(seg.words, dtype=np.uint16)
+            bases[id(seg.words)] = n_words
+            n_words += len(arrays[id(seg.words)])
+        word_bases.append(bases[id(seg.words)])
+        out_slices.append(slice(n_syms, n_syms + seg.num_symbols))
+        n_syms += seg.num_symbols
+    streams = list(arrays.values())
+    if len(streams) == 1:
+        words = streams[0]
+    else:
+        words = np.concatenate(streams or [np.empty(0, np.uint16)])
+    return words, word_bases, out_slices, n_syms
 
 
 def fuse_segments(
@@ -549,35 +600,43 @@ def fuse_segments(
 
     Returns ``(words, tasks, out_slices, total_symbols)``.
     """
-    word_arrays: list[np.ndarray] = []
-    word_bases: dict[int, int] = {}  # id(words) -> assigned base
-    fused_tasks: list[ThreadTask] = []
-    out_slices: list[slice] = []
-    next_base = 0
-    sym_base = 0
-    for seg in segments:
-        word_base = word_bases.get(id(seg.words))
-        if word_base is None:
-            w = np.asarray(seg.words, dtype=np.uint16)
-            word_arrays.append(w)
-            word_bases[id(seg.words)] = word_base = next_base
-            next_base += len(w)
-        for t in seg.tasks:
-            fused_tasks.append(
-                replace(
-                    t,
-                    start_pos=t.start_pos + word_base,
-                    global_offset=t.global_offset + sym_base,
-                    terminal_pos=t.terminal_pos + word_base,
-                )
-            )
-        out_slices.append(slice(sym_base, sym_base + seg.num_symbols))
-        sym_base += seg.num_symbols
-    if word_arrays:
-        words = np.concatenate(word_arrays)
-    else:
-        words = np.empty(0, dtype=np.uint16)
-    return words, fused_tasks, out_slices, sym_base
+    words, word_bases, out_slices, total = _stack_words(segments)
+    fused_tasks = [
+        replace(
+            t,
+            start_pos=t.start_pos + word_base,
+            global_offset=t.global_offset + out.start,
+            terminal_pos=t.terminal_pos + word_base,
+        )
+        for seg, word_base, out in zip(segments, word_bases, out_slices)
+        for t in seg.tasks
+    ]
+    return words, fused_tasks, out_slices, total
+
+
+def _fuse_plans(
+    plans: list[TaskPlan],
+    word_bases: list[int],
+    out_slices: list[slice],
+    lanes: int,
+) -> TaskPlan:
+    """The :class:`TaskPlan` twin of :func:`fuse_segments`' rebasing."""
+    if len(plans) <= 1:  # a lone segment sits at word and output 0
+        return plans[0] if plans else plan_tasks([], lanes)
+    sizes = [len(p) for p in plans]
+    geom = np.concatenate([p.geom for p in plans])
+    wb = np.repeat(np.asarray(word_bases, dtype=np.int64), sizes)
+    geom[:, 0] += wb  # start_pos
+    geom[:, 6] += wb  # terminal_pos
+    geom[:, 5] += np.repeat([s.start for s in out_slices], sizes)
+    counts = np.concatenate([np.diff(p.act_off) for p in plans])
+    return TaskPlan(
+        lanes=lanes,
+        geom=geom,
+        init=np.concatenate([p.init for p in plans]),
+        act_off=np.concatenate([[0], np.cumsum(counts)]),
+        acts=np.concatenate([p.acts for p in plans]),
+    )
 
 
 def fused_run_multi(
@@ -586,7 +645,7 @@ def fused_run_multi(
     segments: list[StreamSegment],
     arena: ScratchArena,
     out_dtype=None,
-    kernel: str = "numpy",
+    kernel: str = "compiled",
 ) -> MultiRunResult:
     """Decode many independent (words, tasks) segments as ONE kernel run.
 
@@ -608,6 +667,9 @@ def fused_run_multi(
         objects are concatenated only once.
     :param arena: caller-owned scratch buffers (DESIGN.md §9).
     :param out_dtype: output dtype (default: the provider's).
+    :param kernel: as for :func:`fused_run`.  Either kernel runs the
+        segments' packed :class:`TaskPlan` s, rebased onto the
+        concatenated stream (no per-task rebuilding).
     :returns: one freshly allocated flat output plus per-segment
         slices and aggregate work counters.
     :raises DecodeError: more than one segment with a non-static
@@ -622,13 +684,19 @@ def fused_run_multi(
             "multi-segment fusion requires a static model provider; "
             "adaptive-model decodes must be dispatched individually"
         )
-    words, tasks, out_slices, total_symbols = fuse_segments(segments)
     if out_dtype is None:
         out_dtype = provider.out_dtype
+    words, word_bases, out_slices, total = _stack_words(segments)
+    plans = [
+        seg.plan if seg.plan is not None and seg.plan.lanes == lanes
+        else plan_tasks(seg.tasks, lanes)
+        for seg in segments
+    ]
     # Results escape to callers, so the output is a fresh allocation
     # (arena rule 2, DESIGN.md §9); segment views share this buffer.
-    out = np.empty(total_symbols, dtype=out_dtype)
-    stats = fused_run(
-        provider, lanes, words, tasks, out, arena, kernel=kernel
+    out = np.empty(total, dtype=out_dtype)
+    stats = _run_plan(
+        provider, words, _fuse_plans(plans, word_bases, out_slices, lanes),
+        out, arena, kernel,
     )
     return MultiRunResult(out=out, slices=out_slices, stats=stats)

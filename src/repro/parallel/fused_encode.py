@@ -97,7 +97,7 @@ def fused_encode_run(
     lanes: int,
     tasks: list[EncodeTask],
     arena: ScratchArena,
-    kernel: str = "numpy",
+    kernel: str = "compiled",
 ) -> list[EncodeTaskOut]:
     """Encode every task, bit-identical to the reference loop.
 
@@ -106,8 +106,9 @@ def fused_encode_run(
     task), then each task finishes its remaining groups alone.  The
     caller owns ``arena`` (not thread-safe, DESIGN.md §9).
 
-    ``kernel="compiled"`` routes the sequential trajectory sweep — the
-    only data-dependent chain — through the compiled twin
+    ``kernel="compiled"`` (the default) routes the sequential
+    trajectory sweep — the only data-dependent chain — through the
+    compiled twin
     (:mod:`repro.parallel.compiled`); gathers, word emission and event
     reconstruction stay vectorized numpy either way.  Bit-identical,
     silently numpy when no toolchain is available.

@@ -639,7 +639,7 @@ class ShardedExecutor:
         out_dtype,
         workers: int,
         strategy: str,
-        kernel: str = "numpy",
+        kernel: str = "compiled",
     ) -> tuple[np.ndarray, list[EngineStats]]:
         """Shard ``tasks``, run them in the pool, return (out, stats).
 
@@ -792,7 +792,7 @@ class ShardedExecutor:
         out_dtype,
         workers: int | None = None,
         strategy: str = "cost",
-        kernel: str = "numpy",
+        kernel: str = "compiled",
     ) -> PoolDecodeResult:
         """Decode ``tasks`` across shard processes.
 
@@ -840,7 +840,7 @@ class ShardedExecutor:
         out_dtype=None,
         workers: int | None = None,
         strategy: str = "cost",
-        kernel: str = "numpy",
+        kernel: str = "compiled",
     ) -> MultiRunResult:
         """Sharded counterpart of :func:`repro.parallel.fused.fused_run_multi`.
 

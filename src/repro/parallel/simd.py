@@ -54,7 +54,8 @@ class ThreadTask:
     commit_lo: int
     global_offset: int = 0
     initial_states: np.ndarray | None = None
-    activations: list[tuple[int, int, int]] = field(default_factory=list)
+    #: ``(local_index, lane, state)`` rows: tuples or an ``(n, 3)`` array.
+    activations: list | np.ndarray = field(default_factory=list)
     #: verify the walk drains the stream region back to the initial
     #: coder states (only meaningful when ``walk_lo == 1``).
     check_terminal: bool = False
@@ -99,11 +100,11 @@ class LaneEngine:
         self,
         provider: AdaptiveModelProvider,
         lanes: int,
-        kernel: str = "numpy",
+        kernel: str = "compiled",
     ) -> None:
         self.provider = provider
         self.lanes = lanes
-        #: steady-loop implementation (``"numpy"`` or ``"compiled"``,
+        #: decode kernel (``"compiled"`` or ``"numpy"``,
         #: DESIGN.md §19); silently numpy when no toolchain is up.
         self.kernel = kernel
         self._arena = None  # created lazily; see `arena`

@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,6 +93,11 @@ class DecodeTables:
     @property
     def slot_count(self) -> int:
         return self.sym_slot.shape[1]
+
+    @cached_property
+    def sym_u64(self) -> np.ndarray:
+        """``sym_slot`` widened to uint64 (the compiled kernel's operand)."""
+        return self.sym_slot.astype(np.uint64)
 
 
 class AdaptiveModelProvider:

@@ -121,7 +121,7 @@ class InterleavedEncoder:
         self,
         data: np.ndarray,
         record_events: bool = False,
-        kernel: str = "numpy",
+        kernel: str = "compiled",
     ) -> InterleavedEncodeResult:
         """Encode ``data`` (1-D integer array) into a single stream.
 

@@ -99,17 +99,24 @@ class DecodeRequest:
             words=self.asset.words,
             tasks=self.variant.tasks,
             num_symbols=self.asset.num_symbols,
+            plan=self.variant.plan,
         )
 
     # -- completion (a stdlib Future carries the handoff) --------------
 
-    def set_result(self, symbols: np.ndarray) -> None:
-        self.completed_at = time.perf_counter()
+    def set_result(self, symbols: np.ndarray, metrics) -> None:
+        self._complete(metrics, ok=True)
         self._future.set_result(symbols)
 
-    def set_error(self, error: Exception) -> None:
-        self.completed_at = time.perf_counter()
+    def set_error(self, error: Exception, metrics) -> None:
+        self._complete(metrics, ok=False)
         self._future.set_exception(error)
+
+    def _complete(self, metrics, ok: bool) -> None:
+        # Counted before the handoff, so a caller holding the outcome
+        # always finds it in the metrics (DESIGN.md §16).
+        self.completed_at = time.perf_counter()
+        metrics.record_completion(self.latency_s, ok=ok)
 
     def result(self, timeout: float | None = None) -> np.ndarray:
         """Block until completion; raises the service-side error (or

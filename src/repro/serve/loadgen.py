@@ -511,7 +511,9 @@ def run_load_bench(
                         seed=seed + 1,
                     )
                     fault_report = fault_injection.snapshot()
-            network = server.metrics.snapshot()
+        # Read after shutdown(), the settle point: no handler thread
+        # can still move a counter (DESIGN.md §16).
+        network = server.metrics.snapshot()
         service_metrics = service.metrics_snapshot()
 
     trace_report = None

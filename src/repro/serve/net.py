@@ -282,6 +282,10 @@ class NetServer:
         3. Whatever remains after ``drain_timeout_s`` (default: the
            config value) is hard-closed and counted ``drain.forced``.
 
+        Return is the metrics *settle point* (DESIGN.md §16): every
+        connection thread has left, so ``connections``, ``requests``
+        and ``drain`` counters read afterwards are final.
+
         :returns: the drain slice of the metrics snapshot.
         """
         with self._lock:
@@ -369,11 +373,11 @@ class NetServer:
                 if not over_cap:
                     conn = _Connection(sock, addr)
                     self._conns.add(conn)
+                    self.metrics.connection_opened()
             if over_cap:
                 self.metrics.connection_rejected()
                 self._shed(sock)
                 continue
-            self.metrics.connection_opened()
             trace.record_instant(
                 "net.accept", cat="net", args={"peer_port": addr[1]}
             )
@@ -478,13 +482,14 @@ class NetServer:
             )
         finally:
             conn.close()
+            # One critical section: _conns empty => counters settled.
             with self._lock:
+                if self._draining.is_set():
+                    conn.record_drain_once(
+                        self.metrics, forced=conn.forced
+                    )
                 self._conns.discard(conn)
-            self.metrics.connection_closed()
-            if self._draining.is_set():
-                conn.record_drain_once(
-                    self.metrics, forced=conn.forced
-                )
+                self.metrics.connection_closed()
 
     def _try_send_error(self, conn: _Connection, exc: BaseException) -> None:
         try:

@@ -95,13 +95,12 @@ class ServiceConfig:
     #: ``"thread"`` — fan the batch across ``decode_workers`` OS
     #: threads; ``"process"`` — fan it across ``decode_workers`` shard
     #: processes (DESIGN.md §14; falls back to ``"thread"`` when
-    #: shared memory is unavailable).  Any of them may carry a
-    #: ``"+compiled"`` suffix (bare ``"compiled"`` means
-    #: ``"fused+compiled"``) to run the compiled inner-loop kernel
-    #: (DESIGN.md §19); without a toolchain the service degrades to
-    #: the numpy kernel and reports it under
-    #: ``metrics_snapshot()["resilience"]["kernel"]``.
-    decode_backend: str = "fused"
+    #: shared memory is unavailable).  A ``"+compiled"`` suffix (bare
+    #: ``"compiled"`` means ``"fused+compiled"``, the default) runs the
+    #: compiled kernel (DESIGN.md §19); a bare pool name runs numpy.
+    #: Without a toolchain the service degrades to the numpy kernel
+    #: and reports it under ``metrics_snapshot()["resilience"]["kernel"]``.
+    decode_backend: str = "fused+compiled"
     #: worker count for the ``"thread"``/``"process"`` backends.
     decode_workers: int = 8
     #: seconds after a process→thread degradation before the service
@@ -316,8 +315,7 @@ class RecoilService:
                 self._inflight_symbols = 0
                 self._cond.notify_all()
             for req in leftovers:
-                req.set_error(ServeError("service closed"))
-                self.metrics.record_completion(req.latency_s, ok=False)
+                req.set_error(ServeError("service closed"), self.metrics)
             self._close_done.set()
             if wedged:
                 raise ServeError(
@@ -685,9 +683,9 @@ class RecoilService:
                         f"deadline expired after "
                         f"{req.latency_s:.3g}s in queue "
                         f"(asset {req.asset.name!r})"
-                    )
+                    ),
+                    self.metrics,
                 )
-                self.metrics.record_completion(req.latency_s, ok=False)
             if batch:
                 self._maybe_repromote()
                 self._execute(batch, arena)
@@ -898,8 +896,7 @@ class RecoilService:
             )
             if len(batch) == 1:
                 req = batch[0]
-                req.set_error(exc)
-                self.metrics.record_completion(req.latency_s, ok=False)
+                req.set_error(exc, self.metrics)
                 self._finish_stages(req, t0, elapsed, ok=False)
                 return
             # Poison isolation: one bad request must not fail its
@@ -912,8 +909,7 @@ class RecoilService:
             return
         elapsed = time.perf_counter() - t0
         for req, symbols in zip(batch, result.segment_outputs()):
-            req.set_result(symbols)
-            self.metrics.record_completion(req.latency_s, ok=True)
+            req.set_result(symbols, self.metrics)
             self._finish_stages(req, t0, elapsed, ok=True)
         self.metrics.record_batch(
             len(batch),
@@ -937,9 +933,9 @@ class RecoilService:
                     DeadlineError(
                         f"deadline expired during poison-isolation "
                         f"retry (asset {req.asset.name!r})"
-                    )
+                    ),
+                    self.metrics,
                 )
-                self.metrics.record_completion(req.latency_s, ok=False)
                 continue
             t0 = time.perf_counter()
             try:
@@ -948,14 +944,12 @@ class RecoilService:
                 elapsed = time.perf_counter() - t0
                 self.metrics.record_poison_retry(isolated=True)
                 self.metrics.record_batch(1, req.task_lanes, 0, elapsed)
-                req.set_error(exc)
-                self.metrics.record_completion(req.latency_s, ok=False)
+                req.set_error(exc, self.metrics)
                 self._finish_stages(req, t0, elapsed, ok=False)
                 continue
             elapsed = time.perf_counter() - t0
             self.metrics.record_poison_retry(isolated=False)
-            req.set_result(solo.segment_outputs()[0])
-            self.metrics.record_completion(req.latency_s, ok=True)
+            req.set_result(solo.segment_outputs()[0], self.metrics)
             self._finish_stages(req, t0, elapsed, ok=True)
             self.metrics.record_batch(
                 1, solo.stats.tasks, solo.stats.symbols_decoded, elapsed

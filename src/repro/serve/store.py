@@ -32,6 +32,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from repro.core.metadata import RecoilMetadata
 from repro.core.serialization import serialize_metadata
 from repro.errors import MetadataError, ServeError
 from repro.parallel.costmodel import estimate_task_symbols
+from repro.parallel.fused import TaskPlan, plan_tasks
 from repro.parallel.simd import ThreadTask
 from repro.rans.adaptive import AdaptiveModelProvider
 from repro.rans.constants import DEFAULT_LANES
@@ -74,6 +76,11 @@ class ShrunkVariant:
     #: (:func:`repro.parallel.costmodel.estimate_task_symbols`).
     cost_symbols: int
     asset: "StoredAsset" = field(repr=False, default=None)
+
+    @cached_property
+    def plan(self) -> TaskPlan:
+        """``tasks`` packed by :func:`plan_tasks`, once per variant."""
+        return plan_tasks(self.tasks, self.metadata.lanes)
 
 
 @dataclass

@@ -126,7 +126,7 @@ def fused_speculative_pass(
     ends: np.ndarray,
     initial_state: int,
     total_symbols: int,
-    kernel: str = "numpy",
+    kernel: str = "compiled",
 ) -> SpecTrajectory:
     """Advance all ``P`` speculative chunks as one state vector.
 
@@ -138,7 +138,7 @@ def fused_speculative_pass(
     all-chunks-active prefix run branch-free in planned safe runs and
     only the straggler tail stepped under ``where`` masks.
 
-    ``kernel="compiled"`` runs the branch-free safe runs through the
+    ``kernel="compiled"`` (the default) runs the branch-free safe runs through the
     compiled twin (:mod:`repro.parallel.compiled`, DESIGN.md §19) —
     bit-identical trajectories, silently numpy when no toolchain is
     available.  The straggler tail and the synchronization search

@@ -130,8 +130,10 @@ class MultiansCodec:
     # ------------------------------------------------------------------
 
     def decompress(
-        self, blob: bytes, num_threads: int = 256, engine: str = "fused"
+        self, blob: bytes, num_threads: int = 256, engine: str = "compiled"
     ) -> tuple[np.ndarray, MultiansStats]:
+        """``engine``: ``"compiled"`` (default; numpy without a
+        toolchain), ``"fused"`` (numpy) or ``"reference"``."""
         enc, table = self.parse(blob)
         if engine == "fused":
             return self.parallel_decode(enc, table, num_threads)
@@ -157,7 +159,7 @@ class MultiansCodec:
         enc: TansEncodeResult,
         table: TansTable,
         num_threads: int,
-        kernel: str = "numpy",
+        kernel: str = "compiled",
     ) -> tuple[np.ndarray, MultiansStats]:
         """Fused wide-lane decode: one ``(P,)``-wide kernel pass plus
         the searchsorted stitch (:mod:`repro.tans.fused`).  The seed

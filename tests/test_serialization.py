@@ -120,6 +120,15 @@ class TestMetadataSerialization:
         assert consumed == len(blob)
         assert out.entries == []
 
+    @pytest.mark.parametrize("entries", [0, 1])
+    def test_zero_lane_count_rejected(self, entries):
+        # The lane count is the first field; a zero there must be a
+        # typed error, not a ZeroDivisionError from the group math.
+        md = _random_metadata(3) if entries else RecoilMetadata(9, 5, 4, [])
+        blob = b"\x00" + serialize_metadata(md)[1:]
+        with pytest.raises(MetadataError):
+            parse_metadata(blob)
+
     def test_trailing_data_untouched(self):
         md = _random_metadata(3)
         blob = serialize_metadata(md) + b"PAYLOAD"
