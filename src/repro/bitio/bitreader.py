@@ -24,7 +24,7 @@ def gather_bits(
     built per byte offset).  Returns int64 values in the broadcast
     shape.
     """
-    buf = np.frombuffer(bytes(data), dtype=np.uint8) if isinstance(
+    buf = np.frombuffer(data, dtype=np.uint8) if isinstance(
         data, (bytes, bytearray, memoryview)
     ) else np.asarray(data, dtype=np.uint8)
     positions = np.asarray(positions, dtype=np.int64)
@@ -122,7 +122,7 @@ class BitReader:
             raise ValueError(f"count must be >= 0, got {count}")
         if width == 0 or count == 0:
             return np.zeros(count, dtype=np.int64)
-        if width > 62:  # int64 dot product would overflow
+        if width > 32:  # beyond gather_bits' window
             return np.array(
                 [self.read_bits(width) for _ in range(count)],
                 dtype=np.int64,
@@ -133,16 +133,11 @@ class BitReader:
                 f"bit reader exhausted: need {total} bits, "
                 f"have {self.bits_remaining}"
             )
-        start = self._pos
-        first = start >> 3
-        last = (start + total - 1) >> 3
-        span = np.frombuffer(self._data, np.uint8, last - first + 1, first)
-        bits = np.unpackbits(span)[start - 8 * first :][:total]
-        powers = np.left_shift(
-            np.int64(1), np.arange(width - 1, -1, -1, dtype=np.int64)
-        )
-        self._pos = start + total
-        return bits.reshape(count, width) @ powers
+        first = self._pos >> 3
+        span = self._data[first : (self._pos + total + 7) >> 3]
+        skew = self._pos - 8 * first
+        self._pos += total
+        return gather_bits(span, skew + width * np.arange(count), width)
 
     def read_unary(self) -> int:
         """Read one-bits until a zero terminator; return their count."""

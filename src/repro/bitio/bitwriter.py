@@ -6,9 +6,10 @@ layout in paper §4.3, where a 4-bit width header is followed by packed
 fixed-width values (read back in the same order).
 
 Bulk entry points (:meth:`BitWriter.write_bits` for arbitrarily wide
-values, :meth:`BitWriter.write_bits_array` for fixed-width series)
-render whole byte runs at once instead of looping bit-by-bit, so the
-serialization hot paths never pay per-bit Python dispatch.
+values, :meth:`BitWriter.write_fields` for arrays of fields of any mix
+of widths) render whole byte runs at once instead of looping
+bit-by-bit, so the serialization hot paths never pay per-bit Python
+dispatch.
 """
 
 from __future__ import annotations
@@ -83,65 +84,45 @@ class BitWriter:
         self._acc = acc
         self._nbits = rem
 
-    def write_bits_array(self, values, width: int) -> None:
-        """Append each of ``values`` as a ``width``-bit field.
+    def write_fields(self, values, widths) -> None:
+        """Append each ``values[i]`` as a ``widths[i]``-bit field.
 
-        Bit-stream layout is identical to calling :meth:`write_bits`
-        per element; the packing itself is vectorized (one
-        ``np.packbits`` for the whole series).
+        Same layout as :meth:`write_bits` per field (the inverse of
+        :func:`repro.bitio.gather_bits`), widths in ``[0, 33]``, one
+        vectorized pass: each field lands in the 40-bit window at its
+        first byte, and since fields never share a bit, summing the
+        windows' bytes per position ORs them together.
         """
-        if width < 0:
-            raise ValueError(f"width must be >= 0, got {width}")
-        values = np.asarray(values)
-        if values.ndim != 1:
-            raise ValueError("values must be 1-D")
+        values, widths = (
+            a.ravel()
+            for a in np.broadcast_arrays(
+                np.asarray(values, dtype=np.int64),
+                np.asarray(widths, dtype=np.int64),
+            )
+        )
         if len(values) == 0:
             return
-        if values.dtype.kind not in "ui":
-            raise ValueError("values must be integers")
-        if values.dtype.kind == "i" and int(values.min()) < 0:
-            raise ValueError("negative value in bit series")
-        top = int(values.max())
-        if width < top.bit_length():
-            raise ValueError(f"value {top} does not fit in {width} bits")
-        if width == 0:
-            return
-        if width > 57:  # keep the shift matrix inside uint64
-            for v in values.tolist():
-                self.write_bits(int(v), width)
-            return
-        if len(values) <= 256:
-            # Short series: folding into one Python int and rendering
-            # it with a single write_bits beats numpy's fixed setup
-            # cost (the fold is quadratic, so long series take the
-            # vectorized path below).
-            big = 0
-            for v in values.tolist():
-                big = (big << width) | v
-            self.write_bits(big, len(values) * width)
-            return
-        shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
-        bits = (
-            (values.astype(np.uint64)[:, None] >> shifts) & np.uint64(1)
-        ).astype(np.uint8)
-        head = self._nbits
-        if head:
-            acc_bits = (
-                (np.uint64(self._acc)
-                 >> np.arange(head - 1, -1, -1, dtype=np.uint64))
-                & np.uint64(1)
-            ).astype(np.uint8)
-            stream = np.concatenate([acc_bits, bits.ravel()])
-        else:
-            stream = bits.ravel()
-        rem = len(stream) & 7
-        whole = len(stream) - rem
-        if whole:
-            self._buf += np.packbits(stream[:whole]).tobytes()
-        acc = 0
-        for b in stream[whole:].tolist():
-            acc = (acc << 1) | int(b)
-        self._acc = acc
+        if widths.min() < 0 or widths.max() > 33:
+            raise ValueError("field widths must be in [0, 33]")
+        if values.min() < 0 or np.any(values >> widths):
+            raise ValueError("value does not fit its field width")
+        # The pending partial byte is one more (leading) field.
+        values = np.concatenate(([self._acc], values))
+        widths = np.concatenate(([self._nbits], widths))
+        ends = np.cumsum(widths)
+        starts = ends - widths
+        total = int(ends[-1])
+        win = values << (40 - (starts & 7) - widths)
+        shifts = np.arange(32, -8, -8, dtype=np.int64)
+        parts = (win[:, None] >> shifts) & 0xFF
+        where = (starts >> 3)[:, None] + np.arange(5)
+        nbytes = (total + 7) >> 3
+        out = np.bincount(
+            where.ravel(), weights=parts.ravel(), minlength=nbytes + 5
+        )[:nbytes].astype(np.uint8)
+        rem = total & 7
+        self._buf += out[: total >> 3].tobytes()
+        self._acc = int(out[-1]) >> (8 - rem) if rem else 0
         self._nbits = rem
 
     def write_unary(self, value: int) -> None:

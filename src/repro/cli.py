@@ -30,7 +30,6 @@ from repro.core import (
     recoil_decompress,
     recoil_shrink,
 )
-from repro.core.serialization import metadata_size_bytes
 from repro.errors import ReproError
 from repro.parallel import compiled
 
@@ -77,6 +76,7 @@ def _cmd_info(args) -> int:
     blob = open(args.input, "rb").read()
     parsed = parse_container(blob, require_model=False)
     md = parsed.metadata
+    md_bytes = parsed.payload_offset - parsed.metadata_offset
     if args.json:
         stats = {
             "container_bytes": len(blob),
@@ -86,9 +86,9 @@ def _cmd_info(args) -> int:
             "lanes": parsed.lanes,
             "quant_bits": parsed.quant_bits,
             "decoder_threads": md.num_threads,
-            "splits": len(md.entries),
-            "metadata_bytes": metadata_size_bytes(md),
-            "header_bytes": parsed.header_bytes,
+            "splits": md.num_entries,
+            "metadata_bytes": md_bytes,
+            "header_bytes": parsed.payload_offset,
             "sync_overhead_symbols": md.sync_overhead_symbols(),
         }
         print(json.dumps(stats, indent=2))
@@ -100,8 +100,8 @@ def _cmd_info(args) -> int:
     print(f"lanes:            {parsed.lanes}")
     print(f"quantization:     n={parsed.quant_bits}")
     print(f"decoder threads:  {md.num_threads}")
-    print(f"metadata:         {metadata_size_bytes(md):,} bytes")
-    if md.entries:
+    print(f"metadata:         {md_bytes:,} bytes")
+    if md.num_entries:
         sync = md.sync_overhead_symbols()
         print(
             f"sync sections:    {sync:,} symbols "

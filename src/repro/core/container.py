@@ -51,8 +51,8 @@ class ParsedContainer:
     final_states: np.ndarray
     metadata: RecoilMetadata
     provider: AdaptiveModelProvider | None
+    metadata_offset: int  # byte offset of the metadata section
     payload_offset: int  # byte offset of the word payload
-    header_bytes: int  # everything before the payload
 
     def words(self, blob: bytes) -> np.ndarray:
         return np.frombuffer(
@@ -174,6 +174,7 @@ def _parse_container(
             "provider used for encoding"
         )
 
+    metadata_offset = pos
     metadata, pos = parse_metadata(blob, pos)
     if (
         metadata.num_symbols != num_symbols
@@ -191,8 +192,8 @@ def _parse_container(
         final_states=final_states,
         metadata=metadata,
         provider=provider,
+        metadata_offset=metadata_offset,
         payload_offset=pos,
-        header_bytes=pos,
     )
 
 
@@ -209,9 +210,9 @@ def shrink_container(blob: bytes, target_threads: int) -> bytes:
             f"target_threads must be >= 1, got {target_threads}"
         )
     parsed = parse_container(blob, require_model=False)
-    combined = parsed.metadata.combine(target_threads)
-    md_old = serialize_metadata(parsed.metadata)
-    md_new = serialize_metadata(combined)
-    # The metadata section sits immediately before the payload.
-    md_start = parsed.payload_offset - len(md_old)
-    return blob[:md_start] + md_new + blob[parsed.payload_offset :]
+    combined = serialize_metadata(parsed.metadata.combine(target_threads))
+    return (
+        blob[: parsed.metadata_offset]
+        + combined
+        + blob[parsed.payload_offset :]
+    )

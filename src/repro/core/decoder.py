@@ -47,44 +47,27 @@ def build_thread_tasks(
     num_words: int,
     final_states: np.ndarray,
 ) -> list[ThreadTask]:
-    """Translate a metadata thread plan into engine tasks."""
-    tasks: list[ThreadTask] = []
-    for item in metadata.thread_plan():
-        entry = item["entry"]
-        if entry is None:
-            # The final segment decodes from the transmitted final
-            # states, fully initialized (no synchronization needed).
-            tasks.append(
-                ThreadTask(
-                    start_pos=num_words - 1,
-                    walk_hi=item["walk_hi"],
-                    walk_lo=item["walk_lo"],
-                    commit_hi=item["commit_hi"],
-                    commit_lo=item["commit_lo"],
-                    initial_states=np.asarray(
-                        final_states, dtype=np.uint64
-                    ),
-                    check_terminal=item["walk_lo"] == 1,
-                    terminal_pos=-1,
-                )
-            )
-        else:
-            activations = np.column_stack(
-                (entry.lane_indices, np.arange(entry.lanes),
-                 entry.lane_states.astype(np.int64))
-            )
-            tasks.append(
-                ThreadTask(
-                    start_pos=entry.word_offset,
-                    walk_hi=item["walk_hi"],
-                    walk_lo=item["walk_lo"],
-                    commit_hi=item["commit_hi"],
-                    commit_lo=item["commit_lo"],
-                    activations=activations,
-                    check_terminal=item["walk_lo"] == 1,
-                    terminal_pos=-1,
-                )
-            )
+    """The metadata's thread plan (DESIGN.md §7) as engine tasks, from
+    the ``S``/``C`` columns; the final task decodes from the transmitted
+    final states (no synchronization needed)."""
+    md = metadata
+    E, K, N = md.num_entries, md.lanes, md.num_symbols
+    lo = [1] + md.sync_complete_index.tolist()
+    hi = md.split_index.tolist() + [N]
+    c_hi = (md.sync_complete_index - 1).tolist() + [N]
+    starts = md.word_offset.tolist() + [num_words - 1]
+    lanes = np.broadcast_to(np.arange(K), (E, K))
+    acts = np.stack((md.lane_indices, lanes, md.lane_states), axis=-1)
+    tasks = [
+        ThreadTask(starts[t], hi[t], lo[t], c_hi[t], lo[t],
+                   activations=acts[t], check_terminal=lo[t] == 1)
+        for t in range(E)
+    ]
+    final = np.asarray(final_states, dtype=np.uint64)
+    tasks.append(
+        ThreadTask(starts[E], N, lo[E], N, lo[E], initial_states=final,
+                   check_terminal=lo[E] == 1)
+    )
     return tasks
 
 

@@ -1,7 +1,7 @@
 """Recoil split metadata (paper §3.3, §4.1, Tables 1–2).
 
-A :class:`SplitEntry` carries everything one decoder thread needs to
-start mid-stream:
+Each split entry carries everything one decoder thread needs to start
+mid-stream:
 
 - ``word_offset`` — the stream position of the split event's word; the
   thread's first renormalization read happens there, reading downward.
@@ -15,13 +15,16 @@ The *split index* ``S = max(lane_indices)`` is where the thread's walk
 starts; the *sync-complete index* ``C = min(lane_indices)`` is where
 all lanes are initialized.  The Synchronization Section is ``[C, S]``.
 
+:class:`RecoilMetadata` stores entries as columns (DESIGN.md §5), so
+every stage works on whole arrays; :class:`SplitEntry` is a row view.
+
 Decoder-adaptive scalability (§3.3) is :meth:`RecoilMetadata.combine`:
 dropping entries merges splits, and nothing else changes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,13 +74,7 @@ class SplitEntry:
         Lane ``j`` owns symbol indices congruent to ``j + 1`` mod ``K``,
         so ``index = (group - 1) * K + j + 1`` is exactly invertible.
         """
-        j = np.arange(lanes)
-        g, rem = np.divmod(self.lane_indices - j - 1, lanes)
-        if np.any(rem != 0):
-            raise MetadataError(
-                "lane index does not belong to its lane (corrupt entry)"
-            )
-        return g + 1
+        return group_ids(self.lane_indices, lanes)
 
     @classmethod
     def from_group_ids(
@@ -86,64 +83,136 @@ class SplitEntry:
         group_ids: np.ndarray,
         lane_states: np.ndarray,
     ) -> "SplitEntry":
-        """Inverse of :meth:`group_ids` (used by deserialization)."""
+        """Inverse of :meth:`group_ids`."""
         group_ids = np.asarray(group_ids, dtype=np.int64)
         lanes = len(group_ids)
         indices = (group_ids - 1) * lanes + np.arange(lanes) + 1
         return cls(word_offset, indices, np.asarray(lane_states))
 
 
-@dataclass
-class RecoilMetadata:
-    """Ordered collection of split entries plus stream geometry.
+def group_ids(lane_indices: np.ndarray, lanes: int) -> np.ndarray:
+    """Symbol Group IDs of ``lane_indices`` (``(..., K)``), checking
+    that every index sits on its own lane."""
+    g, rem = np.divmod(lane_indices - np.arange(lanes) - 1, lanes)
+    if np.any(rem != 0):
+        raise MetadataError(
+            "lane index does not belong to its lane (corrupt entry)"
+        )
+    return g + 1
 
-    ``num_threads = len(entries) + 1``: the final segment (the back of
+
+class RecoilMetadata:
+    """Split entries as columns plus stream geometry.
+
+    ``num_threads = num_entries + 1``: the final segment (the back of
     the stream) is decoded from the container's final states and needs
-    no entry.
+    no entry.  :meth:`from_columns` is the constructor; the ``entries``
+    argument takes :class:`SplitEntry` objects and converts them to
+    columns once.  Either way the columns are private read-only copies
+    (so :attr:`entries` views cannot alias writable state), validated.
     """
 
-    num_symbols: int
-    num_words: int
-    lanes: int
-    entries: list[SplitEntry] = field(default_factory=list)
+    def __init__(
+        self, num_symbols: int, num_words: int, lanes: int, entries=()
+    ) -> None:
+        es = list(entries)
+        self._set_columns(
+            num_symbols, num_words, lanes, [e.word_offset for e in es],
+            [e.lane_indices for e in es], [e.lane_states for e in es],
+        )
 
-    def __post_init__(self) -> None:
+    @classmethod
+    def from_columns(
+        cls, num_symbols, num_words, lanes, word_offset, lane_indices,
+        lane_states,
+    ) -> "RecoilMetadata":
+        """Metadata from ``(E,)`` word offsets and ``(E, K)`` lane index
+        and state columns (raises :class:`MetadataError` when they
+        violate an invariant of :meth:`validate`)."""
+        md = cls.__new__(cls)
+        md._set_columns(num_symbols, num_words, lanes, word_offset,
+                        lane_indices, lane_states)
+        return md
+
+    def _set_columns(self, num_symbols, num_words, lanes, *columns) -> None:
+        self.num_symbols, self.num_words = num_symbols, num_words
+        self.lanes = lanes
+        E = len(columns[0])
+        shapes = ((E,), (E, lanes), (E, lanes))
+        dtypes = (np.int64, np.int64, np.uint32)
+        try:  # a row of the wrong lane count cannot take the (E, K) shape
+            cols = [
+                np.array(c, dtype=dt).reshape(shape)
+                for c, dt, shape in zip(columns, dtypes, shapes)
+            ]
+        except (ValueError, OverflowError) as exc:
+            raise MetadataError(f"malformed metadata columns: {exc}") from exc
+        for c in cols:
+            c.setflags(write=False)
+        self.word_offset, self.lane_indices, self.lane_states = cols
         self.validate()
 
     def validate(self) -> None:
-        """Check ordering/consistency invariants of the entries."""
-        prev_S = 0
-        prev_off = -1
-        for k, e in enumerate(self.entries):
-            if e.lanes != self.lanes:
-                raise MetadataError(
-                    f"entry {k} has {e.lanes} lanes, expected {self.lanes}"
-                )
-            if not 0 <= e.word_offset < max(self.num_words, 1):
-                raise MetadataError(
-                    f"entry {k} word offset {e.word_offset} outside "
-                    f"stream of {self.num_words} words"
-                )
-            if e.word_offset <= prev_off:
-                raise MetadataError("entries must be offset-ordered")
-            if e.sync_complete_index <= prev_S:
-                raise MetadataError(
-                    f"entry {k}: sync section reaches into the previous "
-                    f"split (C={e.sync_complete_index} <= S={prev_S})"
-                )
-            if e.split_index > self.num_symbols:
-                raise MetadataError(
-                    f"entry {k} split index {e.split_index} beyond "
-                    f"sequence of {self.num_symbols} symbols"
-                )
-            prev_S = e.split_index
-            prev_off = e.word_offset
+        """Check the ordering/consistency invariants of the entries and
+        cache the per-entry ``S``/``C`` columns."""
+        li, off = self.lane_indices, self.word_offset
+        S = li.max(axis=1) if len(li) else np.zeros(0, np.int64)
+        C = li.min(axis=1) if len(li) else np.zeros(0, np.int64)
+        prev_S = np.concatenate(([0], S))[:-1]
+
+        def first(mask) -> int | None:
+            return int(np.argmax(mask)) if mask.any() else None
+
+        if (C < 1).any():
+            raise MetadataError("lane indices must be >= 1")
+        outside = (off < 0) | (off >= max(self.num_words, 1))
+        if (k := first(outside)) is not None:
+            raise MetadataError(
+                f"entry {k} word offset {off[k]} outside stream of "
+                f"{self.num_words} words"
+            )
+        if (np.diff(off) <= 0).any():
+            raise MetadataError("entries must be offset-ordered")
+        if (k := first(C <= prev_S)) is not None:
+            raise MetadataError(
+                f"entry {k}: sync section reaches into the previous "
+                f"split (C={C[k]} <= S={prev_S[k]})"
+            )
+        if (k := first(S > self.num_symbols)) is not None:
+            raise MetadataError(
+                f"entry {k} split index {S[k]} beyond sequence of "
+                f"{self.num_symbols} symbols"
+            )
+        self.split_index, self.sync_complete_index = S, C
 
     # ------------------------------------------------------------------
 
     @property
+    def num_entries(self) -> int:
+        return len(self.word_offset)
+
+    @property
     def num_threads(self) -> int:
-        return len(self.entries) + 1
+        return self.num_entries + 1
+
+    @property
+    def entries(self) -> list[SplitEntry]:
+        """Per-entry views of the columns (read-only arrays)."""
+        offsets = self.word_offset.tolist()
+        return [
+            SplitEntry(*row)
+            for row in zip(offsets, self.lane_indices, self.lane_states)
+        ]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RecoilMetadata):
+            return NotImplemented
+        return (self.num_symbols, self.num_words, self.lanes) == (
+            other.num_symbols, other.num_words, other.lanes
+        ) and all(
+            np.array_equal(getattr(self, c), getattr(other, c))
+            for c in ("word_offset", "lane_indices", "lane_states")
+        )
 
     def thread_plan(self) -> list[dict]:
         """Per-thread walk/commit ranges (see DESIGN.md §7).
@@ -152,33 +221,20 @@ class RecoilMetadata:
         ``[C_{t-1}, S_t]`` and commits ``[C_{t-1}, C_t - 1]``; the final
         thread walks ``[C_T, N]`` and commits the same.
         """
-        plan: list[dict] = []
-        prev_c = 1
-        for e in self.entries:
-            plan.append(
-                {
-                    "walk_hi": e.split_index,
-                    "walk_lo": prev_c,
-                    "commit_hi": e.sync_complete_index - 1,
-                    "commit_lo": prev_c,
-                    "entry": e,
-                }
-            )
-            prev_c = e.sync_complete_index
-        plan.append(
-            {
-                "walk_hi": self.num_symbols,
-                "walk_lo": prev_c,
-                "commit_hi": self.num_symbols,
-                "commit_lo": prev_c,
-                "entry": None,
-            }
-        )
-        return plan
+        N = self.num_symbols
+        lo = [1] + self.sync_complete_index.tolist()
+        hi = self.split_index.tolist() + [N]
+        c_hi = (self.sync_complete_index - 1).tolist() + [N]
+        entries = self.entries + [None]
+        return [
+            {"walk_hi": hi[t], "walk_lo": lo[t], "commit_hi": c_hi[t],
+             "commit_lo": lo[t], "entry": entries[t]}
+            for t in range(self.num_threads)
+        ]
 
     def sync_overhead_symbols(self) -> int:
         """Total symbols decoded twice (all Synchronization Sections)."""
-        return sum(e.sync_section_length for e in self.entries)
+        return int((self.split_index - self.sync_complete_index + 1).sum())
 
     # ------------------------------------------------------------------
     # Decoder-adaptive scalability (§3.3): combining splits.
@@ -190,52 +246,37 @@ class RecoilMetadata:
         This is the server-side real-time operation: no re-encoding,
         no bitstream change — entries are subsampled so the surviving
         splits cover near-equal symbol counts (paper: "sending every
-        other ``N/M``-th split metadata is good enough").
+        other ``N/M``-th split metadata is good enough").  The kept
+        entries are selected as whole rows of the columns.
         """
         if target_threads < 1:
             raise MetadataError(
                 f"target_threads must be >= 1, got {target_threads}"
             )
-        keep = target_threads - 1
-        if keep >= len(self.entries):
-            return RecoilMetadata(
-                self.num_symbols, self.num_words, self.lanes,
-                list(self.entries),
+        E = self.num_entries
+        chosen: list[int] = list(range(E))
+        if target_threads - 1 < E:
+            # Pick entries whose split indices best match the ideal
+            # equal-symbol boundaries k * N / target: the nearer of the
+            # two neighbours not yet taken, else the next free entry.
+            targets = np.arange(1, target_threads) * (
+                self.num_symbols / target_threads
             )
-        if keep == 0:
-            return RecoilMetadata(
-                self.num_symbols, self.num_words, self.lanes, []
-            )
-        # Pick entries whose split indices best match the ideal
-        # equal-symbol boundaries k * N / target.
-        splits = np.array([e.split_index for e in self.entries])
-        targets = (
-            np.arange(1, target_threads)
-            * (self.num_symbols / target_threads)
-        )
-        chosen: list[int] = []
-        last = -1
-        for tgt in targets:
-            k = int(np.searchsorted(splits, tgt))
-            best = None
-            for cand in (k - 1, k):
-                if cand <= last or cand < 0 or cand >= len(splits):
-                    continue
-                if best is None or abs(splits[cand] - tgt) < abs(
-                    splits[best] - tgt
-                ):
-                    best = cand
-            if best is None:
-                # All nearby entries already taken; take the next free.
-                nxt = last + 1
-                if nxt >= len(splits):
+            nearest = np.searchsorted(self.split_index, targets).tolist()
+            splits = self.split_index.tolist()
+            chosen, last = [], -1
+            for tgt, k in zip(targets.tolist(), nearest):
+                near = [c for c in (k - 1, k) if last < c < E]
+                best = min(
+                    near, key=lambda c: abs(splits[c] - tgt), default=last + 1
+                )
+                if best >= E:
                     break
-                best = nxt
-            chosen.append(best)
-            last = best
-        return RecoilMetadata(
-            self.num_symbols,
-            self.num_words,
-            self.lanes,
-            [self.entries[i] for i in chosen],
+                chosen.append(best)
+                last = best
+        rows = np.array(chosen, dtype=np.int64)
+        return RecoilMetadata.from_columns(
+            self.num_symbols, self.num_words, self.lanes,
+            self.word_offset[rows], self.lane_indices[rows],
+            self.lane_states[rows],
         )

@@ -32,8 +32,8 @@ from repro.bitio import (
     encode_uvarint,
     gather_bits,
 )
-from repro.core.metadata import RecoilMetadata, SplitEntry
-from repro.errors import MetadataError
+from repro.core.metadata import RecoilMetadata, group_ids
+from repro.errors import DecodeError, MetadataError
 
 _WIDTH_FIELD_BITS = 5
 _MAX_WIDTH = 1 << _WIDTH_FIELD_BITS  # widths 1..32
@@ -44,19 +44,50 @@ def _series_width(values: np.ndarray) -> int:
     if len(values) == 0:
         return 1
     top = int(np.abs(values).max())
-    return max(1, top.bit_length())
+    width = max(1, top.bit_length())
+    if width > _MAX_WIDTH:
+        raise MetadataError(f"series value too large for {_MAX_WIDTH} bits")
+    return width
+
+
+def _unsigned_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, widths)`` of one unsigned series per row of ``rows``
+    ``(R, n)``: a width field, then fixed-width values."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if np.any(rows < 0):
+        raise MetadataError("unsigned series contains negative values")
+    # frexp's exponent is the bit length (exact below 2**53).
+    width = np.maximum(1, np.frexp(rows.max(axis=1, initial=0))[1])
+    if width.max(initial=1) > _MAX_WIDTH:
+        raise MetadataError(f"series value too large for {_MAX_WIDTH} bits")
+    n = rows.shape[1]
+    values = np.hstack((width[:, None] - 1, rows))
+    widths = np.repeat(width[:, None], n + 1, axis=1)
+    widths[:, 0] = _WIDTH_FIELD_BITS
+    return values, widths
+
+
+def _signed_fields(values) -> tuple[np.ndarray, np.ndarray]:
+    """Width field + sign-presence flag + values; when a value is
+    negative every element carries a sign bit ahead of its magnitude
+    (one ``width + 1``-bit field)."""
+    values = np.asarray(values, dtype=np.int64)
+    width = _series_width(values)
+    neg = values < 0
+    has_neg = bool(neg.any())
+    if has_neg:
+        values = (neg.astype(np.int64) << width) | np.abs(values)
+    return (
+        np.concatenate(([width - 1, has_neg], values)),
+        np.concatenate(
+            ([_WIDTH_FIELD_BITS, 1], np.full(len(values), width + has_neg))
+        ),
+    )
 
 
 def write_unsigned_series(writer: BitWriter, values: np.ndarray) -> None:
     """Width field + fixed-width non-negative values."""
-    values = np.asarray(values, dtype=np.int64)
-    if np.any(values < 0):
-        raise MetadataError("unsigned series contains negative values")
-    width = _series_width(values)
-    if width > _MAX_WIDTH:
-        raise MetadataError(f"series value too large for {_MAX_WIDTH} bits")
-    writer.write_bits(width - 1, _WIDTH_FIELD_BITS)
-    writer.write_bits_array(values, width)
+    writer.write_fields(*_unsigned_rows(np.reshape(values, (1, -1))))
 
 
 def read_unsigned_series(reader: BitReader, count: int) -> np.ndarray:
@@ -70,19 +101,7 @@ def write_signed_series(writer: BitWriter, values: np.ndarray) -> None:
     When every value is non-negative the per-element sign bits are
     omitted entirely (flag bit 0).
     """
-    values = np.asarray(values, dtype=np.int64)
-    width = _series_width(values)
-    if width > _MAX_WIDTH:
-        raise MetadataError(f"series value too large for {_MAX_WIDTH} bits")
-    has_neg = bool(np.any(values < 0))
-    writer.write_bits(width - 1, _WIDTH_FIELD_BITS)
-    writer.write_bit(1 if has_neg else 0)
-    if has_neg:
-        # sign bit + magnitude per element == one (width + 1)-bit field.
-        combined = ((values < 0).astype(np.int64) << width) | np.abs(values)
-        writer.write_bits_array(combined, width + 1)
-    else:
-        writer.write_bits_array(values, width)
+    writer.write_fields(*_signed_fields(values))
 
 
 def read_signed_series(reader: BitReader, count: int) -> np.ndarray:
@@ -98,50 +117,62 @@ def read_signed_series(reader: BitReader, count: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _expected_steps(
+    num_symbols: int, num_words: int, lanes: int, num_entries: int
+) -> tuple[int, int]:
+    """Expected per-split offset and anchor steps (module docstring)."""
+    M = num_entries + 1
+    total_groups = -(-num_symbols // lanes)
+    return -(-num_words // M), -(-total_groups // M)
+
+
 def serialize_metadata(md: RecoilMetadata) -> bytes:
-    """Render :class:`RecoilMetadata` into the compact §4.3 format."""
-    head = bytearray()
-    head += encode_uvarint(md.lanes)
-    head += encode_uvarint(md.num_symbols)
-    head += encode_uvarint(md.num_words)
-    head += encode_uvarint(len(md.entries))
-    if not md.entries:
-        return bytes(head)
+    """Render :class:`RecoilMetadata` into the compact §4.3 format.
 
-    M = md.num_threads
-    expected_off = -(-md.num_words // M)
-    total_groups = -(-md.num_symbols // md.lanes)
-    expected_grp = -(-total_groups // M)
-
-    offsets = np.array([e.word_offset for e in md.entries], dtype=np.int64)
-    anchors = np.array(
-        [int(e.group_ids(md.lanes).max()) for e in md.entries],
-        dtype=np.int64,
+    Every field of the section — both difference series and all entry
+    records — is computed column-wise and packed by one
+    :meth:`BitWriter.write_fields` call.
+    """
+    E, K = md.num_entries, md.lanes
+    head = b"".join(
+        encode_uvarint(v) for v in (K, md.num_symbols, md.num_words, E)
     )
-    i = np.arange(1, len(md.entries) + 1, dtype=np.int64)
-    off_diffs = offsets - i * expected_off
-    grp_diffs = anchors - i * expected_grp
-
+    if E == 0:
+        return head
+    off_step, grp_step = _expected_steps(md.num_symbols, md.num_words, K, E)
+    i = np.arange(1, E + 1, dtype=np.int64)
+    grp = group_ids(md.lane_indices, K)
+    anchors = grp.max(axis=1)
+    off_vals, off_widths = _signed_fields(md.word_offset - i * off_step)
+    grp_vals, grp_widths = _signed_fields(anchors - i * grp_step)
+    states = md.lane_states
+    if np.any(states >= 1 << 16):
+        raise MetadataError(
+            "entry state exceeds 16 bits — Lemma 3.1 violated?"
+        )
+    # Entry records: [K x 16-bit states] then the unsigned series of
+    # group-ID diffs below the anchor, one row per entry.
+    diff_vals, diff_widths = _unsigned_rows(anchors[:, None] - grp)
+    rec_vals = np.hstack((states, diff_vals))
+    rec_widths = np.hstack((np.full((E, K), 16), diff_widths))
     w = BitWriter()
-    write_signed_series(w, off_diffs)
-    write_signed_series(w, grp_diffs)
-    for e, anchor in zip(md.entries, anchors.tolist()):
-        states = e.lane_states
-        if np.any(states >= 1 << 16):
-            raise MetadataError(
-                "entry state exceeds 16 bits — Lemma 3.1 violated?"
-            )
-        w.write_bits_array(states, 16)
-        lane_grp = e.group_ids(md.lanes)
-        write_unsigned_series(w, anchor - lane_grp)
-    return bytes(head) + w.to_bytes()
+    w.write_fields(
+        np.concatenate((off_vals, grp_vals, rec_vals.ravel())),
+        np.concatenate((off_widths, grp_widths, rec_widths.ravel())),
+    )
+    return head + w.to_bytes()
 
 
-def parse_metadata(blob: bytes, offset: int = 0) -> tuple[RecoilMetadata, int]:
+def parse_metadata(
+    blob: bytes | memoryview, offset: int = 0
+) -> tuple[RecoilMetadata, int]:
     """Inverse of :func:`serialize_metadata`.
 
     Returns ``(metadata, next_offset)`` where ``next_offset`` points
-    just past the metadata section (byte-aligned).
+    just past the metadata section (byte-aligned).  ``blob`` is read
+    in place; only the section's own bytes are touched.  Corrupt input
+    raises :class:`MetadataError` (or :class:`ContainerError` from a
+    truncated header varint).
     """
     lanes, pos = decode_uvarint(blob, offset)
     num_symbols, pos = decode_uvarint(blob, pos)
@@ -149,79 +180,76 @@ def parse_metadata(blob: bytes, offset: int = 0) -> tuple[RecoilMetadata, int]:
     num_entries, pos = decode_uvarint(blob, pos)
     if lanes < 1:
         raise MetadataError(f"metadata lane count {lanes} must be >= 1")
-    if num_entries == 0:
-        return RecoilMetadata(num_symbols, num_words, lanes, []), pos
+    E, K = num_entries, lanes
+    if E == 0:
+        return RecoilMetadata(num_symbols, num_words, lanes), pos
     # Every entry consumes at least one bit of the section; a count
     # beyond that is a corrupt length field, not a real container —
     # refuse before sizing arrays (or looping) on it.
-    if num_entries > 8 * max(len(blob) - pos, 0):
+    if E > 8 * max(len(blob) - pos, 0):
         raise MetadataError(
-            f"implausible metadata entry count {num_entries} for "
+            f"implausible metadata entry count {E} for "
             f"{len(blob) - pos} remaining bytes"
         )
+    if max(num_symbols, num_words, K) >> 62:
+        raise MetadataError("implausible metadata stream geometry")
+    off_step, grp_step = _expected_steps(num_symbols, num_words, K, E)
 
-    M = num_entries + 1
-    expected_off = -(-num_words // M)
-    total_groups = -(-num_symbols // lanes)
-    expected_grp = -(-total_groups // M)
+    body = memoryview(blob)[pos:]
+    # The two difference series take at most 2 x (6 + 33 E) bits.
+    r = BitReader(body[: (12 + 66 * E + 7) // 8])
+    try:
+        off_diffs = read_signed_series(r, E)
+        grp_diffs = read_signed_series(r, E)
+    except DecodeError as exc:
+        raise MetadataError(f"metadata truncated: {exc}") from exc
+    i = np.arange(1, E + 1, dtype=np.int64)
 
-    body = blob[pos:]
-    r = BitReader(body)
-    off_diffs = read_signed_series(r, num_entries)
-    grp_diffs = read_signed_series(r, num_entries)
-    i = np.arange(1, num_entries + 1, dtype=np.int64)
-    offsets = off_diffs + i * expected_off
-    anchors = grp_diffs + i * expected_grp
-
-    # Entry records are [lanes x 16-bit states][5-bit width field]
-    # [lanes x width-bit diffs].  Only the tiny width fields chain
-    # record offsets sequentially; scan those with scalar reads, then
-    # gather every record's state and diff payloads in two vectorized
-    # passes (the PR 2 bulk-bit-I/O path) instead of per-entry reader
-    # calls.
-    base = r.bit_position
+    # Entry records are [K x 16-bit states][5-bit width field]
+    # [K x width-bit diffs].  Only the 5-bit width fields chain record
+    # offsets, so a scalar scan reads those; one gather then reads
+    # every record's states and diffs.
     total_bits = 8 * len(body)
-    starts = np.empty(num_entries, dtype=np.int64)
-    widths = np.empty(num_entries, dtype=np.int64)
-    b = base
-    states_bits = 16 * lanes
-    for k in range(num_entries):
+    starts = []
+    widths = []
+    b = r.bit_position
+    states_bits = 16 * K
+    for _ in range(E):
         wf = b + states_bits
         if wf + _WIDTH_FIELD_BITS > total_bits:
             raise MetadataError("metadata truncated inside entry records")
         byte = wf >> 3
-        chunk = int.from_bytes(body[byte : byte + 2].ljust(2, b"\0"), "big")
-        width = ((chunk >> (16 - (wf & 7) - _WIDTH_FIELD_BITS)) & 31) + 1
-        starts[k] = b
-        widths[k] = width
-        b = wf + _WIDTH_FIELD_BITS + width * lanes
+        pair = body[byte] << 8
+        if byte + 1 < len(body):
+            pair |= body[byte + 1]
+        width = ((pair >> (11 - (wf & 7))) & 31) + 1
+        starts.append(b)
+        widths.append(width)
+        b = wf + _WIDTH_FIELD_BITS + width * K
     if b > total_bits:
         raise MetadataError("metadata truncated inside entry records")
 
-    # The gathers build bit windows over their whole buffer, and
-    # ``body`` extends through the words payload — trim it to the
-    # metadata extent (known once the width scan fixed ``b``).
-    section = body[: (b + 7) // 8]
-    lane_idx = np.arange(lanes, dtype=np.int64)
-    state_pos = starts[:, None] + 16 * lane_idx
-    states_all = gather_bits(section, state_pos, 16).astype(np.uint32)
-    diff_pos = (
-        starts[:, None]
-        + states_bits
-        + _WIDTH_FIELD_BITS
-        + widths[:, None] * lane_idx
-    )
-    diffs_all = gather_bits(section, diff_pos, widths[:, None])
-    group_ids_all = anchors[:, None] - diffs_all
-
-    entries = [
-        SplitEntry.from_group_ids(
-            int(offsets[k]), group_ids_all[k], states_all[k]
-        )
-        for k in range(num_entries)
-    ]
     consumed = (b + 7) // 8
-    md = RecoilMetadata(num_symbols, num_words, lanes, entries)
+    section = np.frombuffer(body, dtype=np.uint8, count=consumed)
+    starts = np.array(starts, dtype=np.int64)[:, None]
+    widths = np.array(widths, dtype=np.int64)[:, None]
+    j = np.arange(K, dtype=np.int64)
+    diff_base = starts + states_bits + _WIDTH_FIELD_BITS
+    fields = gather_bits(
+        section,
+        np.hstack((starts + 16 * j, diff_base + widths * j)),
+        np.hstack((np.full((E, K), 16), np.repeat(widths, K, axis=1))),
+    )
+    anchors = grp_diffs + i * grp_step
+    indices = (anchors[:, None] - fields[:, K:] - 1) * K + j + 1
+    md = RecoilMetadata.from_columns(
+        num_symbols,
+        num_words,
+        K,
+        off_diffs + i * off_step,
+        indices,
+        fields[:, :K],
+    )
     return md, pos + consumed
 
 

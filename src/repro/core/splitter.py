@@ -22,9 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.metadata import RecoilMetadata, SplitEntry
+from repro.core.metadata import RecoilMetadata
 from repro.errors import MetadataError
 from repro.rans.interleaved import RenormEvents
+
+#: candidate windows per backward-scan block in :meth:`SplitSelector.select`.
+_SCAN_ROWS = 256
 
 
 @dataclass
@@ -65,59 +68,45 @@ class SplitSelector:
         self.num_symbols = num_symbols
         self.window = window
         # Per-lane event positions (indices into the event log), used
-        # for the vectorized backward scan.
-        ev_lane = np.asarray(events.lane)
+        # for the backward scan: one stable sort by lane keeps each
+        # lane's events in log order.
+        ev_lane = self._ev_lane = np.asarray(events.lane)
+        order = np.argsort(ev_lane, kind="stable")
+        bounds = np.searchsorted(ev_lane[order], np.arange(lanes + 1))
         self._lane_positions = [
-            np.flatnonzero(ev_lane == j) for j in range(lanes)
+            order[bounds[j] : bounds[j + 1]] for j in range(lanes)
         ]
         self._ev_sym = np.asarray(events.symbol_index, dtype=np.int64)
 
     # ------------------------------------------------------------------
 
-    def _scan_candidates(
-        self, cand: np.ndarray
+    def _scan_windows(
+        self, lo: np.ndarray, width: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Backward scan (§4.1) for a batch of candidate event ids.
+        """Backward scan (§4.1) of candidates ``lo[r] + w``, ``w < width``.
 
-        For every candidate event and every lane, find the lane's most
-        recent event at or before the candidate.  Returns
-        ``(lane_event_ids, lane_indices, valid)`` where
-        ``lane_event_ids`` is ``(C, K)`` int64 (event-log ids, -1 when
-        the lane has no prior event), ``lane_indices`` the metadata
-        init indices ``m = A-index - K``, and ``valid`` marks
-        candidates where every lane has a usable event (``m >= 1``).
+        Each lane's most recent event at or before a candidate is its
+        last event before ``lo[r]`` (one searchsorted per lane), then a
+        running maximum over the window's own events.  Returns the
+        ``(R, width, K)`` event ids (-1: none) and init indices
+        ``m = A-index - K``, and the ``(R, width)`` mask of candidates
+        whose every lane has ``m >= 1``.
         """
         K = self.lanes
-        C = len(cand)
-        lane_event_ids = np.full((C, K), -1, dtype=np.int64)
-        for j in range(K):
-            pos_j = self._lane_positions[j]
-            if len(pos_j) == 0:
-                continue
-            # Last event of lane j with event id <= candidate id.
-            k = np.searchsorted(pos_j, cand, side="right") - 1
-            have = k >= 0
-            lane_event_ids[have, j] = pos_j[k[have]]
-        valid = (lane_event_ids >= 0).all(axis=1)
-        lane_indices = np.full((C, K), 0, dtype=np.int64)
-        ids_flat = lane_event_ids[valid]
-        lane_indices[valid] = self._ev_sym[ids_flat] - K
-        valid &= (lane_indices >= 1).all(axis=1)
-        return lane_event_ids, lane_indices, valid
-
-    def _entry_from_scan(
-        self, cand_id: int, lane_event_ids: np.ndarray
-    ) -> SplitEntry:
-        """Materialize a :class:`SplitEntry` from one scan row."""
-        states = np.asarray(self.events.state_after)[
-            lane_event_ids
-        ].astype(np.uint32)
-        indices = self._ev_sym[lane_event_ids] - self.lanes
-        return SplitEntry(
-            word_offset=int(cand_id),
-            lane_indices=indices,
-            lane_states=states,
+        last = len(self._ev_sym) - 1
+        cand = np.minimum(lo[:, None] + np.arange(width), last)
+        ids = np.where(
+            self._ev_lane[cand][..., None] == np.arange(K), cand[..., None], -1
         )
+        for j, pos_j in enumerate(self._lane_positions):
+            if len(pos_j):
+                k = np.searchsorted(pos_j, lo) - 1
+                prior = np.where(k >= 0, pos_j[k], -1)
+                np.maximum(ids[:, 0, j], prior, out=ids[:, 0, j])
+        np.maximum.accumulate(ids, axis=1, out=ids)
+        lane_indices = np.where(ids >= 0, self._ev_sym[ids] - K, 0)
+        valid = (lane_indices >= 1).all(axis=-1)
+        return ids, lane_indices, valid
 
     # ------------------------------------------------------------------
 
@@ -129,51 +118,65 @@ class SplitSelector:
         keeps the cheapest valid one.  Returns possibly fewer entries
         than requested when the stream is too short or events too
         sparse — the metadata then simply supports fewer threads.
+
+        Every boundary's candidate window is scanned in one batched
+        backward scan up front; only the argmin, which depends on the
+        previous choice's split index, walks the boundaries in order.
         """
         if num_threads < 1:
             raise MetadataError(f"num_threads must be >= 1, got {num_threads}")
         N = self.num_symbols
         E = len(self.events)
-        entries: list[SplitEntry] = []
-        costs: list[float] = []
-        if num_threads == 1 or E == 0 or N <= self.lanes:
-            md = RecoilMetadata(N, E, self.lanes, [])
+        K = self.lanes
+        if num_threads == 1 or E == 0 or N <= K:
+            md = RecoilMetadata(N, E, K)
             return md, SplitterStats(num_threads, 1, 0, 0.0)
 
         T = -(-N // num_threads)  # ceil: expected symbols per split
+        ideal = T * np.arange(1, num_threads, dtype=np.int64)
+        ideal = ideal[ideal < N]
         # Metadata init index of each event (for searchsorted); events
         # are symbol-ordered so this array is strictly increasing.
-        ev_m = self._ev_sym - self.lanes
+        center = np.searchsorted(self._ev_sym - K, ideal)
+        lo = np.maximum(0, center - self.window // 2)
+        hi = np.minimum(E, lo + self.window)
+        offsets = lo[:, None] + np.arange(self.window)
+        valid = offsets < hi[:, None]
+        S = np.empty_like(offsets)
+        Cc = np.empty_like(offsets)
+        # Scan in row blocks so the (rows, window, K) temporaries stay
+        # small at thousands of splits.
+        for r in range(0, len(lo), _SCAN_ROWS):
+            block = slice(r, r + _SCAN_ROWS)
+            _, lane_idx, ok = self._scan_windows(lo[block], self.window)
+            valid[block] &= ok
+            S[block] = lane_idx.max(axis=-1)
+            Cc[block] = lane_idx.min(axis=-1)
+        ts = S - Cc + 1
 
+        chosen: list[int] = []
+        costs: list[float] = []
         prev_S = 0
-        for t in range(1, num_threads):
-            ideal = t * T
-            if ideal >= N:
-                break
-            center = int(np.searchsorted(ev_m, ideal))
-            lo = max(0, center - self.window // 2)
-            hi = min(E, lo + self.window)
-            cand = np.arange(lo, hi)
-            if len(cand) == 0:
-                continue
-            lane_ids, lane_idx, valid = self._scan_candidates(cand)
-            S = lane_idx.max(axis=1)
-            Cc = lane_idx.min(axis=1)
+        never = np.iinfo(np.int64).max
+        for t in range(len(ideal)):
             # Reject overlaps with the previous split and non-advancing
             # candidates.
-            valid &= (Cc > prev_S) & (S > prev_S) & (S < N)
-            if not valid.any():
+            ok = valid[t] & (Cc[t] > prev_S) & (S[t] > prev_S) & (S[t] < N)
+            if not ok.any():
                 continue
-            t_sym = S - prev_S
-            ts = S - Cc + 1
-            cost = np.abs(t_sym - T) + np.abs(t_sym - ts - T)
-            cost = np.where(valid, cost, np.iinfo(np.int64).max)
-            best = int(np.argmin(cost))
-            entries.append(self._entry_from_scan(int(cand[best]), lane_ids[best]))
+            t_sym = S[t] - prev_S
+            cost = np.abs(t_sym - T) + np.abs(t_sym - ts[t] - T)
+            best = int(np.argmin(np.where(ok, cost, never)))
+            chosen.append(int(offsets[t, best]))
             costs.append(float(cost[best]))
-            prev_S = int(S[best])
+            prev_S = int(S[t, best])
 
-        md = RecoilMetadata(N, E, self.lanes, entries)
+        chosen = np.array(chosen, dtype=np.int64)
+        ids, lane_idx, _ = self._scan_windows(chosen, 1)
+        states = np.asarray(self.events.state_after)[ids[:, 0]]
+        md = RecoilMetadata.from_columns(
+            N, E, K, chosen, lane_idx[:, 0], states
+        )
         stats = SplitterStats(
             requested_threads=num_threads,
             achieved_threads=md.num_threads,

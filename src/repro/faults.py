@@ -65,7 +65,9 @@ PIPE_SEND = "pipe.send"
 PIPE_RECV = "pipe.recv"
 #: asset encode in :meth:`repro.serve.store.AssetStore.put`.
 STORE_ENCODE = "store.encode"
-#: batch hand-off in :meth:`repro.serve.service.RecoilService._run_batch`.
+#: batch hand-off in :meth:`repro.serve.service.RecoilService._run_batch`
+#: (key ``"fused"`` for multi-request batches, ``"solo"`` for one-request
+#: runs: lone requests and poison-isolation retries).
 BATCH_DISPATCH = "batch.dispatch"
 #: per-request execution on the dispatcher (keyed by asset name —
 #: arm with ``key=`` to poison one asset's requests).
@@ -117,7 +119,7 @@ POINTS: dict[str, tuple[str, object]] = {
     PIPE_SEND: ("parent-to-worker job send", _oserror),
     PIPE_RECV: ("worker-to-parent reply receive", _oserror),
     STORE_ENCODE: ("asset encode in AssetStore.put", _fault),
-    BATCH_DISPATCH: ("fused batch hand-off on the dispatcher", _fault),
+    BATCH_DISPATCH: ("batch hand-off (key = fused | solo)", _fault),
     SERVE_REQUEST: ("per-request execution (key = asset name)", _fault),
     KERNEL_EXEC: ("fused multi-buffer kernel entry", _fault),
     NET_ACCEPT: ("accepted connection fails before registration", _oserror),

@@ -758,7 +758,9 @@ class RecoilService:
         the fused tasks across ``decode_workers`` — the same LPT shard
         plan either way, bit-identical output on every path.
         """
-        faults.fire(faults.BATCH_DISPATCH)
+        faults.fire(
+            faults.BATCH_DISPATCH, key="fused" if len(batch) > 1 else "solo"
+        )
         for req in batch:
             faults.fire(faults.SERVE_REQUEST, key=req.asset.name)
         first = batch[0].asset

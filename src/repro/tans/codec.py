@@ -71,23 +71,9 @@ class TansEncoder:
                 nbs.append(nb)
             x = nxt[offs[s] + y - f]
         w = BitWriter()
-        # Bulk emission: expand the variable-width chunks (reversed to
-        # stream order) into one flat bit vector and pack it in a
-        # single vectorized pass instead of one write_bits per symbol.
-        if vals:
-            vals.reverse()
-            nbs.reverse()
-            v = np.array(vals, dtype=np.uint64)
-            widths = np.array(nbs, dtype=np.int64)
-            total = int(widths.sum())
-            ends = np.cumsum(widths)
-            # Bit p of the stream belongs to the chunk ending at
-            # ends[i] > p and holds value bit (end - 1 - p).
-            shifts = (
-                np.repeat(ends, widths) - 1 - np.arange(total, dtype=np.int64)
-            ).astype(np.uint64)
-            bits = (np.repeat(v, widths) >> shifts) & np.uint64(1)
-            w.write_bits_array(bits, 1)
+        # Bulk emission: the variable-width chunks, reversed to stream
+        # order, packed in one vectorized pass.
+        w.write_fields(vals[::-1], nbs[::-1])
         bit_count = len(w)
         return TansEncodeResult(
             payload=w.to_bytes(),

@@ -174,6 +174,37 @@ def test_signed_series_roundtrip_property(values):
         assert r.read_signed(41) == v
 
 
+@given(
+    st.integers(min_value=0, max_value=7),
+    st.lists(
+        st.integers(min_value=0, max_value=33).flatmap(
+            lambda w: st.tuples(st.integers(0, (1 << w) - 1), st.just(w))
+        ),
+        max_size=60,
+    ),
+)
+def test_write_fields_matches_write_bits(lead, pairs):
+    """One vectorized pass lays out exactly the per-field writes, from
+    any partial-byte starting position."""
+    a, b = BitWriter(), BitWriter()
+    for w in (a, b):
+        w.write_bits(0b1010101 & ((1 << lead) - 1), lead)
+    for value, width in pairs:
+        a.write_bits(value, width)
+    b.write_fields([v for v, _ in pairs], [w for _, w in pairs])
+    assert (b.to_bytes(), len(b)) == (a.to_bytes(), len(a))
+    a.write_bits(5, 3)
+    b.write_bits(5, 3)
+    assert b.to_bytes() == a.to_bytes()
+
+
+def test_write_fields_rejects_misfits():
+    with pytest.raises(ValueError):
+        BitWriter().write_fields([4], [2])
+    with pytest.raises(ValueError):
+        BitWriter().write_fields([1], [34])
+
+
 class TestGatherBits:
     def test_matches_bitreader(self):
         import numpy as np

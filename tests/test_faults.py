@@ -574,7 +574,10 @@ class TestConcurrentChaos:
                 faults.inject(
                     faults.PIPE_SEND, p=0.02, seed=CHAOS_SEED + 3
                 ),
-                faults.inject(faults.BATCH_DISPATCH, nth=4),
+                # Aimed at multi-request batches: a solo run is an
+                # innocent's retry or lone request, which fails
+                # directly by design (DESIGN.md §15).
+                faults.inject(faults.BATCH_DISPATCH, nth=4, key="fused"),
                 faults.inject(
                     faults.SERVE_REQUEST, p=1.0, key="poison"
                 ),

@@ -11,10 +11,13 @@ for the same bytes.
 
 The fuzz loop runs in a subprocess so that a signal death (a wild
 write, a sanitizer trap) fails the test instead of killing pytest.
-It runs twice: on the normal build, and on a copy of the C source
-built here with ``-fsanitize=undefined
--fsanitize-undefined-trap-on-error`` and swapped in for the cached
-library by replacing the builder.
+It runs three times: on the normal build, and on copies of the C
+source built here with ``-fsanitize=undefined
+-fsanitize-undefined-trap-on-error`` (UBSan) or ``-fsanitize=address``
+(ASan, with the compiler's ``libasan`` preloaded into the subprocess;
+skipped when the compiler has no ASan runtime), each swapped in for
+the cached library by replacing the builder.  Every mutant also goes
+through the metadata parser first, so the fuzz covers it too.
 """
 
 from __future__ import annotations
@@ -47,21 +50,28 @@ from repro.serve.net import NetConfig, NetServer
 from golden_cases import rans_cases
 
 mode, golden_dir = sys.argv[1], sys.argv[2]
-if mode == "ubsan":
+SANITIZE = {
+    "ubsan": ["-fsanitize=undefined", "-fsanitize-undefined-trap-on-error"],
+    "asan": ["-fsanitize=address", "-fno-omit-frame-pointer"],
+}
+if mode in SANITIZE:
     build = tempfile.mkdtemp()
     atexit.register(shutil.rmtree, build, True)
     src = os.path.join(build, "kernels.c")
-    lib = os.path.join(build, "kernels-ubsan.so")
+    lib = os.path.join(build, f"kernels-{mode}.so")
     with open(src, "w") as fh:
         fh.write(compiled._C_SOURCE)
+    # The compiler itself runs without the preloaded runtime.
+    cc_env = {k: v for k, v in os.environ.items() if k != "LD_PRELOAD"}
     subprocess.run(
-        [compiled._find_cc(), "-O1", "-shared", "-fPIC",
-         "-fsanitize=undefined", "-fsanitize-undefined-trap-on-error",
+        [compiled._find_cc(), "-O1", "-shared", "-fPIC", *SANITIZE[mode],
          "-o", lib, src],
-        check=True, capture_output=True,
+        check=True, capture_output=True, env=cc_env,
     )
     compiled._build_cc_lib = lambda: compiled._bind(ctypes.CDLL(lib))
     compiled.reset_for_tests()
+if mode == "asan":  # the leg is void unless the runtime really loaded
+    assert hasattr(ctypes.CDLL(None), "__asan_init"), "libasan not preloaded"
 assert compiled.warm_up() == "compiled"
 
 rng = np.random.default_rng(20231)
@@ -161,14 +171,38 @@ assert tally["error"] and tally["decoded"]
 '''
 
 
+def _libasan() -> str | None:
+    """Path of the compiler's ASan runtime, or None when it has none."""
+    from repro.parallel import compiled
+
+    cc = compiled._find_cc()
+    if cc is None:
+        return None
+    out = subprocess.run(
+        [cc, "-print-file-name=libasan.so"], capture_output=True, text=True
+    )
+    path = out.stdout.strip()
+    # Without the runtime the compiler echoes the bare file name.
+    return path if os.path.isabs(path) and os.path.exists(path) else None
+
+
 @needs_compiled
-@pytest.mark.parametrize("mode", ["default", "ubsan"])
+@pytest.mark.parametrize("mode", ["default", "ubsan", "asan"])
 def test_hostile_containers_through_compiled_kernel(mode):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, HERE, env.get("PYTHONPATH")) if p
     )
     env.pop("REPRO_COMPILED_TOOLCHAIN", None)
+    if mode == "asan":
+        # An ASan-built shared object needs the runtime loaded before
+        # the (uninstrumented) interpreter starts; leak checking would
+        # flag the interpreter's own allocations, so it is off.
+        libasan = _libasan()
+        if libasan is None:
+            pytest.skip("the C compiler ships no libasan runtime")
+        env["LD_PRELOAD"] = libasan
+        env["ASAN_OPTIONS"] = "detect_leaks=0"
     proc = subprocess.run(
         [sys.executable, "-c", FUZZ_SCRIPT, mode,
          os.path.join(HERE, "golden")],
