@@ -6,18 +6,9 @@ Figure 7 CPU workload (entropy-matched enwik8 surrogate, n=11, K=32):
 - ``scalar``       — the single-state pure-Python reference decoder;
 - ``interleaved``  — one 32-lane coder, full-stream decode (fused);
 - ``pooled``       — 8 recoil tasks on 8 real threads (fused engines);
-- ``sharded``      — the same 8 tasks on 8 shard *processes* over
-  shared memory (``decode_with_pool(backend="process")``);
 - ``fused``        — 8 recoil tasks, one fused wide-lane kernel;
 - ``seed_engine``  — the same 8 tasks on the pre-fusion reference
   engine (``LaneEngine.run_reference``), i.e. the seed hot path.
-
-The ``backend_shootout`` section compares the thread and process
-fan-out backends on the same LPT shard plan (measured wall-clock,
-plus symmetric solo-shard makespans for the clearly-labelled
-projection — docs/BENCHMARKS.md); CI gates on its measured
-``speedup_process_vs_thread`` (the parallel-edge threshold applies
-only on runners with enough cores to express it).
 
 The ``compiled`` section re-times the fused decode with the inner
 loop on the compiled kernel twin (DESIGN.md §19) when a toolchain
@@ -35,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import time
 
@@ -49,7 +41,6 @@ from repro.rans.adaptive import StaticModelProvider
 from repro.rans.interleaved import InterleavedDecoder, InterleavedEncoder
 from repro.rans.model import SymbolModel
 from repro.rans.scalar import ScalarDecoder, ScalarEncoder
-from repro.stats.timing import measure_backend_shootout
 
 QUANT_BITS = 11
 LANES = 32
@@ -116,14 +107,6 @@ def run(symbols: int, threads: int, repeats: int) -> dict:
         check(data),
         repeats,
     )
-    rates["sharded"] = _rate(
-        lambda: decode_with_pool(
-            provider, LANES, enc.words, tasks, enc.num_symbols,
-            np.uint8, threads, backend="process",
-        ).symbols,
-        check(data),
-        repeats,
-    )
     rates["fused"] = _rate(
         lambda: decoder.decode(
             enc.words, enc.final_states, md, engine="fused"
@@ -162,12 +145,6 @@ def run(symbols: int, threads: int, repeats: int) -> dict:
             ), 1),
         }
 
-    # -- backend shootout: thread vs process fan-out, same shard plan --
-    shootout = measure_backend_shootout(
-        provider, LANES, enc.words, tasks, enc.num_symbols, np.uint8,
-        workers=threads, repeats=repeats, expected=data,
-    )
-
     # -- compiled kernel column (DESIGN.md §19) -------------------------
     # Same fused decode, inner loop on the compiled twin.  Warm-up
     # happens before timing; the compile-event counter must stay
@@ -203,16 +180,13 @@ def run(symbols: int, threads: int, repeats: int) -> dict:
             "quant_bits": QUANT_BITS,
             "lanes": LANES,
             "scalar_cap": SCALAR_CAP,
+            "host_cpus": os.cpu_count(),
         },
         "threads": threads,
         "symbols_per_sec": {k: round(v, 1) for k, v in rates.items()},
         "speedup_fused_vs_seed": round(
             rates["fused"] / rates["seed_engine"], 3
         ),
-        "backend_shootout": shootout,
-        "speedup_process_vs_thread": shootout[
-            "speedup_process_vs_thread"
-        ],
         "threads_sweep_symbols_per_sec": sweep,
         "compiled": compiled_col,
     }

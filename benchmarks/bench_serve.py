@@ -22,6 +22,7 @@ import argparse
 import json
 import pathlib
 
+from repro.parallel import compiled
 from repro.serve.bench import render_table, run_serve_bench
 
 
@@ -31,7 +32,7 @@ def main(argv=None) -> int:
     ap.add_argument("--clients", type=int, nargs="+", default=[1, 8, 64])
     ap.add_argument("--repeats", type=int, default=2)
     ap.add_argument("--backend", default="fused",
-                    choices=("fused", "thread", "process"),
+                    choices=compiled.backend_choices(("fused", "thread")),
                     help="service batch-execution backend for the sweep")
     ap.add_argument("--workers", type=int, default=8,
                     help="fan-out worker count for the backend sections")

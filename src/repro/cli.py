@@ -321,8 +321,7 @@ def _cmd_trace(args) -> int:
         stats = validate_chrome_trace_file(args.validate)
         print(
             f"{args.validate}: OK — {stats['events']} events, "
-            f"{stats['spans']} spans, {len(stats['pids'])} pids "
-            f"({len(stats['worker_pids'])} workers), "
+            f"{stats['spans']} spans, {len(stats['pids'])} pids, "
             f"{stats['requests']} requests"
         )
         return 0
@@ -336,18 +335,18 @@ def _cmd_trace(args) -> int:
         fh.write("\n")
     print(
         f"{args.out}: {stats['events']} events, {stats['spans']} spans, "
-        f"{len(stats['pids'])} pids ({len(stats['worker_pids'])} "
-        f"workers), {stats['requests']} requests — load in "
-        "https://ui.perfetto.dev"
+        f"{len(stats['pids'])} pids, {stats['requests']} requests — "
+        "load in https://ui.perfetto.dev"
     )
     return 0
 
 
 _BACKEND_HELP = (
-    "batch execution: fused (one in-process kernel call), thread or "
-    "process (fan-out); +compiled runs the C kernel (numpy without a "
-    "C compiler), a bare pool name the numpy kernel"
+    "batch execution: fused (one in-process kernel call) or thread "
+    "(fan-out); +compiled runs the C kernel (numpy without a C "
+    "compiler), a bare pool name the numpy kernel"
 )
+_BACKEND_CHOICES = compiled.backend_choices(("fused", "thread"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,15 +400,15 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--repeats", type=int, default=2,
                    help="best-of repeat count per measurement")
     b.add_argument("--backend", default="fused+compiled",
-                   choices=compiled.backend_choices(("fused", "thread", "process")),
+                   choices=_BACKEND_CHOICES,
                    help=_BACKEND_HELP)
     b.add_argument("--workers", type=int, default=8,
-                   help="fan-out worker count for thread/process backends")
+                   help="fan-out worker count for the thread backend")
     b.add_argument("--faults", default=None, metavar="SPEC",
                    help="chaos spec armed during the client sweep, e.g. "
-                   "'worker.crash:nth=3,shm.alloc:p=0.05:seed=7' — "
-                   "measures the service under injected failures "
-                   "(see repro.faults)")
+                   "'batch.dispatch:nth=3:key=fused,"
+                   "serve.request:p=0.05:seed=7' — measures the "
+                   "service under injected failures (see repro.faults)")
     b.add_argument("--json", action="store_true",
                    help="emit the full result as JSON")
     b.set_defaults(func=_cmd_serve_bench)
@@ -427,10 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--drain-timeout", type=float, default=5.0,
                    help="grace (s) for in-flight requests at shutdown")
     v.add_argument("--backend", default="fused+compiled",
-                   choices=compiled.backend_choices(("fused", "thread", "process")),
+                   choices=_BACKEND_CHOICES,
                    help=_BACKEND_HELP)
     v.add_argument("--workers", type=int, default=2,
-                   help="fan-out worker count for thread/process backends")
+                   help="fan-out worker count for the thread backend")
     v.add_argument("--demo-assets", type=int, default=2,
                    help="surrogate assets encoded at startup (asset0..N-1)")
     v.add_argument("--symbols", type=int, default=50_000,
@@ -485,10 +484,10 @@ def build_parser() -> argparse.ArgumentParser:
     lb.add_argument("--duration", type=float, default=2.0,
                     help="open-loop run length in seconds")
     lb.add_argument("--backend", default="fused+compiled",
-                    choices=compiled.backend_choices(("fused", "thread", "process")),
+                    choices=_BACKEND_CHOICES,
                     help=_BACKEND_HELP)
     lb.add_argument("--workers", type=int, default=2,
-                    help="fan-out worker count for thread/process backends")
+                    help="fan-out worker count for the thread backend")
     lb.add_argument("--max-connections", type=int, default=64,
                     help="server connection cap")
     lb.add_argument("--faults", default=None, metavar="SPEC",

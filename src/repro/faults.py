@@ -1,8 +1,9 @@
-"""Deterministic fault injection for the serve/shard stack.
+"""Deterministic fault injection for the serving stack.
 
 The resilience layer (DESIGN.md §15) is only trustworthy if every
-failure path it promises to survive can be *driven on demand*: a worker
-segfault, a dropped pipe, an exhausted ``/dev/shm``, a poison request.
+failure path it promises to survive can be *driven on demand*: a
+poison request, a failed batch dispatch, a peer reset, a torn disk
+write.
 This module provides the registry of named **fault points** — the real
 failure surfaces, instrumented in place — and seeded, context-scoped
 **rules** that make a chosen point fail on the nth hit or with
@@ -24,19 +25,13 @@ Design rules:
   :func:`triggered` first test a module-level "any rules armed?" flag
   without taking the lock; production traffic pays one attribute load
   and one branch per instrumented operation (the points sit at coarse
-  operations — a segment allocation, a batch dispatch — never inside
-  kernel loops).
+  operations — a batch dispatch, a frame read — never inside kernel
+  loops).
 - **Realistic exceptions.**  Each point has a default exception type
   matching what the real failure would raise at that site (``OSError``
-  for pipe/shm surfaces, :class:`~repro.errors.FaultInjected`
+  for socket/disk surfaces, :class:`~repro.errors.FaultInjected`
   elsewhere), so the injected failure exercises the same ``except``
   clauses production failures do.
-
-Worker-process points (``worker.crash``, ``worker.job``,
-``shm.attach``) are *evaluated in the parent* at dispatch time — the
-verdict ships with the job and the worker merely executes it — so one
-registry, one seed, and one counter sequence govern the whole run even
-across process boundaries.
 """
 
 from __future__ import annotations
@@ -51,18 +46,6 @@ from repro.errors import FaultInjected
 # Fault-point registry.
 # ---------------------------------------------------------------------------
 
-#: parent-side shared-memory segment allocation (``shards._new_shm``).
-SHM_ALLOC = "shm.alloc"
-#: worker-side attach of a parent-owned segment (verdict shipped).
-SHM_ATTACH = "shm.attach"
-#: worker job execution fails with :class:`FaultInjected` (shipped).
-WORKER_JOB = "worker.job"
-#: worker process dies mid-job — ``os._exit``, no reply (shipped).
-WORKER_CRASH = "worker.crash"
-#: parent→worker job send (``ShardedExecutor._dispatch``).
-PIPE_SEND = "pipe.send"
-#: worker→parent reply receive (``ShardedExecutor._recv``).
-PIPE_RECV = "pipe.recv"
 #: asset encode in :meth:`repro.serve.store.AssetStore.put`.
 STORE_ENCODE = "store.encode"
 #: batch hand-off in :meth:`repro.serve.service.RecoilService._run_batch`
@@ -112,12 +95,6 @@ def _fault(point: str) -> BaseException:
 
 #: every known fault point: ``name -> (doc, default exception factory)``.
 POINTS: dict[str, tuple[str, object]] = {
-    SHM_ALLOC: ("shared-memory segment allocation (parent)", _oserror),
-    SHM_ATTACH: ("shared-memory segment attach (worker)", _oserror),
-    WORKER_JOB: ("worker job execution raises", _fault),
-    WORKER_CRASH: ("worker process dies mid-job", _fault),
-    PIPE_SEND: ("parent-to-worker job send", _oserror),
-    PIPE_RECV: ("worker-to-parent reply receive", _oserror),
     STORE_ENCODE: ("asset encode in AssetStore.put", _fault),
     BATCH_DISPATCH: ("batch hand-off (key = fused | solo)", _fault),
     SERVE_REQUEST: ("per-request execution (key = asset name)", _fault),
@@ -302,8 +279,8 @@ def triggered(point: str, key: str | None = None) -> bool:
     """Consume and report a verdict instead of raising.
 
     Used where the failure is not an exception at the evaluation site
-    — e.g. the parent decides a *worker* must crash and ships the
-    verdict with the job.
+    — e.g. ``net.stall`` sleeps instead of raising, and
+    ``disk.corrupt`` flips a bit in the bytes just read.
     """
     if not _armed:
         return False
@@ -336,7 +313,7 @@ def parse_spec(spec: str) -> list[dict]:
     ``point[:opt=value]*`` with options ``p`` (float), ``nth``,
     ``times``, ``seed`` (ints) and ``key`` (string), e.g.::
 
-        worker.crash:nth=3,shm.alloc:p=0.05:seed=7,serve.request:p=1:key=bad
+        batch.dispatch:nth=3:key=fused,net.read:p=0.05:seed=7
 
     :raises ValueError: malformed spec or unknown point/option.
     """

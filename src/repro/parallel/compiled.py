@@ -63,9 +63,9 @@ def split_backend(
 ) -> tuple[str, str]:
     """Parse a ``backend`` knob into ``(pool, kernel)``.
 
-    Accepted forms: a bare pool (``"thread"``, ``"process"``,
-    ``"fused"``), the shorthand ``"compiled"`` (= ``default_pool``
-    with the compiled kernel), or ``"<pool>+compiled"``.  Pool names
+    Accepted forms: a bare pool (``"thread"``, ``"fused"``), the
+    shorthand ``"compiled"`` (= ``default_pool`` with the compiled
+    kernel), or ``"<pool>+compiled"``.  Pool names
     are *not* validated against any particular surface here — callers
     check the pool against their own supported set so their error
     types stay unchanged.

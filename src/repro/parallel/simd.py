@@ -81,6 +81,24 @@ class EngineStats:
         return self.symbols_decoded / denom if denom else 0.0
 
 
+def combine_stats(per_worker: list[EngineStats]) -> EngineStats:
+    """Aggregate per-worker stats into one :class:`EngineStats`.
+
+    Work counters (symbols, words, tasks) add; iteration counters take
+    the maximum, since workers run concurrently.
+    """
+    total = EngineStats()
+    for s in per_worker:
+        total.tasks += s.tasks
+        total.symbols_decoded += s.symbols_decoded
+        total.words_read += s.words_read
+        total.iterations = max(total.iterations, s.iterations)
+        total.max_task_iterations = max(
+            total.max_task_iterations, s.max_task_iterations
+        )
+    return total
+
+
 class LaneEngine:
     """Vectorized executor for batches of :class:`ThreadTask`.
 

@@ -18,6 +18,7 @@ emits ``BENCH_serve.json``, the number CI gates on) call
 from __future__ import annotations
 
 import contextlib
+import os
 import time
 
 import numpy as np
@@ -27,7 +28,6 @@ from repro.core.api import recoil_decompress
 from repro.data import text_surrogate
 from repro.errors import ReproError
 from repro.serve.service import RecoilService, ServiceConfig
-from repro.stats.timing import measure_backend_shootout
 
 #: client classes cycled across concurrent requests (advertised
 #: decoder capacities, as in the paper's content-delivery scenario).
@@ -65,16 +65,12 @@ def run_serve_bench(
       and fused by the request batcher into wide-lane kernel calls.
 
     ``backend`` selects the service's batch-execution backend for the
-    client sweep (``"fused"``, ``"thread"``, or ``"process"`` —
-    :class:`~repro.serve.service.ServiceConfig.decode_backend`).  Two
-    extra sections compare the fan-out backends at ``workers`` workers
-    on the max-clients batch: ``backends`` times the end-to-end
-    service with each backend, and ``backend_shootout`` measures the
-    decode fan-out itself (thread vs process on the identical fused
-    task set — docs/BENCHMARKS.md); CI gates on the shootout's
-    measured ``speedup_process_vs_thread`` (the parallel-edge
-    threshold applies only on runners with enough cores to express
-    it).
+    client sweep (``"fused"`` or ``"thread"``, optionally with
+    ``"+compiled"`` —
+    :class:`~repro.serve.service.ServiceConfig.decode_backend`).  The
+    ``backends`` section times the end-to-end service on the
+    max-clients batch with the compiled kernel behind each pool: one
+    fused call versus the ``workers``-thread fan-out.
 
     ``faults`` optionally arms a chaos spec
     (:func:`repro.faults.parse_spec` format) for the duration of the
@@ -92,13 +88,6 @@ def run_serve_bench(
     fault_report: list[dict] = []
     data = text_surrogate(symbols, target_entropy=5.29, seed=seed)
     out_bytes = data.nbytes
-
-    # Fork the shared shard pool NOW, while this process is still
-    # single-threaded — the shootout below runs inside the service
-    # context, where the dispatcher thread makes forking unsafe.
-    from repro.parallel import shards
-
-    shards.default_executor(workers)
 
     results: dict[str, dict] = {}
     config = ServiceConfig(decode_backend=backend, decode_workers=workers)
@@ -173,16 +162,10 @@ def run_serve_bench(
 
         snapshot = service.metrics_snapshot()
 
-        # -- fan-out backends on the max-clients batch -----------------
-        max_caps = [
-            capacities[i % len(capacities)] for i in range(max(clients))
-        ]
-        shootout = _serve_backend_shootout(
-            service, max_caps, data, workers, repeats
-        )
-
+    # -- pools on the max-clients batch --------------------------------
+    max_caps = [capacities[i % len(capacities)] for i in range(max(clients))]
     backends: dict[str, dict] = {}
-    for fan_backend in ("thread", "process"):
+    for fan_backend in ("fused+compiled", "thread+compiled"):
         cfg = ServiceConfig(
             decode_backend=fan_backend, decode_workers=workers
         )
@@ -196,10 +179,10 @@ def run_serve_bench(
                 for request in requests:
                     request.result(600)
 
-            fan_batched()  # warm (shrink cache, shard provider ship)
+            fan_batched()  # warm the shrink cache
             t = _best_of(fan_batched, repeats)
             backends[fan_backend] = {
-                "effective_backend": fan_service.decode_backend,
+                "effective_kernel": fan_service.decode_kernel,
                 "batched_s": round(t, 4),
                 "batched_mb_s": round(
                     len(max_caps) * out_bytes / t / 1e6, 2
@@ -230,6 +213,7 @@ def run_serve_bench(
             "backend": backend,
             "fanout_workers": workers,
             "faults": faults,
+            "host_cpus": os.cpu_count(),
         },
         "faults": chaos_section,
         "clients": results,
@@ -237,8 +221,6 @@ def run_serve_bench(
             "speedup"
         ],
         "backends": backends,
-        "backend_shootout": shootout,
-        "speedup_process_vs_thread": shootout["speedup_process_vs_thread"],
         "service_metrics": snapshot,
         "stage_breakdown": stage_breakdown(snapshot),
         "tiered": tiered,
@@ -351,45 +333,6 @@ def _tiered_cold_warm(
         shutil.rmtree(root, ignore_errors=True)
 
 
-def _serve_backend_shootout(
-    service: RecoilService,
-    caps: list[int],
-    data: np.ndarray,
-    workers: int,
-    repeats: int,
-) -> dict:
-    """Thread vs process fan-out on the service's own fused batch.
-
-    Builds exactly the task set the dispatcher would fuse for ``caps``
-    concurrent clients (shrunk variants rebased onto one virtual
-    stream) and hands it to
-    :func:`repro.stats.timing.measure_backend_shootout`.
-    """
-    from repro.parallel.fused import fuse_segments
-    from repro.serve.batcher import DecodeRequest
-
-    variants = [service.store.shrunk("asset", c)[0] for c in caps]
-    segments = [
-        DecodeRequest(v.asset, v).segment() for v in variants
-    ]
-    words, tasks, _, total = fuse_segments(segments)
-    first = variants[0].asset
-    expected = np.concatenate([data] * len(caps)).astype(
-        first.out_dtype, copy=False
-    )
-    return measure_backend_shootout(
-        first.provider,
-        first.lanes,
-        words,
-        tasks,
-        total,
-        first.out_dtype,
-        workers=workers,
-        repeats=repeats,
-        expected=expected,
-    )
-
-
 def render_table(result: dict) -> str:
     """Human-readable summary of a :func:`run_serve_bench` result."""
     lines = [
@@ -408,15 +351,9 @@ def render_table(result: dict) -> str:
         f"hit rate {m['shrink']['hit_rate']:.0%}"
     )
     res = m.get("resilience")
-    if res and (
-        res["degradations"]
-        or res["poison_batches"]
-        or res["deadline_expired"]
-    ):
+    if res and (res["poison_batches"] or res["deadline_expired"]):
         lines.append(
-            f"resilience: {res['degradations']} degradations, "
-            f"{res['promotions']} promotions, "
-            f"{res['poison_batches']} poison batches "
+            f"resilience: {res['poison_batches']} poison batches "
             f"({res['poison_isolated']} isolated), "
             f"{res['deadline_expired']} deadline-expired"
         )
@@ -448,16 +385,5 @@ def render_table(result: dict) -> str:
             f"{tiered['warm']['wall_s'] * 1000:.0f} ms (hit rate "
             f"{tiered['warm']['tier_hit_rate']:.0%}) -> "
             f"{tiered['speedup_warm_vs_cold']:.2f}x"
-        )
-    shootout = result.get("backend_shootout")
-    if shootout:
-        lines.append(
-            f"fan-out at {shootout['workers']} workers (host has "
-            f"{shootout['host_cpus']} CPUs): thread "
-            f"{shootout['thread_s'] * 1000:.1f} ms, process "
-            f"{shootout['process_s'] * 1000:.1f} ms -> "
-            f"{shootout['speedup_process_vs_thread']:.2f}x measured "
-            f"({shootout['projected_parallel_speedup']:.2f}x "
-            "projected at one core per shard)"
         )
     return "\n".join(lines)

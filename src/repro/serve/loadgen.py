@@ -37,6 +37,7 @@ requests make it meaningful (docs/BENCHMARKS.md).
 from __future__ import annotations
 
 import contextlib
+import os
 import socket
 import struct
 import threading
@@ -463,12 +464,6 @@ def run_load_bench(
     if chaos:
         fault_injection.parse_spec(faults)  # fail fast on a bad spec
 
-    if backend == "process":
-        # Fork the shared pool while still single-threaded.
-        from repro.parallel import shards
-
-        shards.default_executor(workers)
-
     config = ServiceConfig(decode_backend=backend, decode_workers=workers)
     assets: dict[str, np.ndarray] = {}
     fault_report: list[dict] = []
@@ -518,13 +513,9 @@ def run_load_bench(
 
     trace_report = None
     if trace_path is not None:
-        import os
-
         spans = trace.drain()
         trace.disable()
-        doc = trace.write_chrome_trace(
-            trace_path, spans, main_pid=os.getpid()
-        )
+        doc = trace.write_chrome_trace(trace_path, spans)
         trace_report = {
             "path": trace_path,
             "spans": len(spans),
@@ -550,6 +541,7 @@ def run_load_bench(
             "personas": dict(personas or DEFAULT_PERSONAS),
             "backend": backend,
             "workers": workers,
+            "host_cpus": os.cpu_count(),
             "max_connections": max_connections,
             "seed": seed,
         },
@@ -614,7 +606,7 @@ def render_load_table(result: dict) -> str:
     if tr:
         lines.append(
             f"trace: {tr['spans']} spans -> {tr['path']} "
-            f"({len(tr['validation']['worker_pids'])} worker pids, "
+            f"({tr['validation']['requests']} requests, "
             f"{tr['dropped']} dropped)"
         )
     chaos = result.get("faults")

@@ -59,9 +59,6 @@ class ServeMetrics:
         self.shrink_cache_misses = 0
         self.bytes_served = 0
         # -- resilience (DESIGN.md §15) --------------------------------
-        self.degradations = 0  # process -> thread backend falls
-        self.promotions = 0  # thread -> process recoveries
-        self.promotion_probes = 0  # cooldown probes attempted
         self.poison_batches = 0  # failed batches retried per-request
         self.poison_retries = 0  # solo re-runs performed
         self.poison_isolated = 0  # requests that failed alone (the poison)
@@ -112,18 +109,6 @@ class ServeMetrics:
             self.fused_tasks_total += num_tasks
             self.symbols_decoded += symbols
             self.kernel_seconds += seconds
-
-    def record_degradation(self) -> None:
-        with self._lock:
-            self.degradations += 1
-
-    def record_promotion(self) -> None:
-        with self._lock:
-            self.promotions += 1
-
-    def record_promotion_probe(self) -> None:
-        with self._lock:
-            self.promotion_probes += 1
 
     def record_poison_batch(self) -> None:
         with self._lock:
@@ -202,9 +187,6 @@ class ServeMetrics:
                     "bytes_served": self.bytes_served,
                 },
                 "resilience": {
-                    "degradations": self.degradations,
-                    "promotions": self.promotions,
-                    "promotion_probes": self.promotion_probes,
                     "poison_batches": self.poison_batches,
                     "poison_retries": self.poison_retries,
                     "poison_isolated": self.poison_isolated,

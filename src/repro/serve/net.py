@@ -53,7 +53,6 @@ them alongside the serve/resilience sections.
 from __future__ import annotations
 
 import json
-import os
 import socket
 import threading
 import time
@@ -621,7 +620,7 @@ class NetServer:
             elif ftype == protocol.OP_TRACE:
                 clear = protocol.parse_trace_request(body)
                 spans = trace.drain() if clear else trace.snapshot()
-                doc = trace.chrome_trace(spans, main_pid=os.getpid())
+                doc = trace.chrome_trace(spans)
                 payload = json.dumps(doc).encode("utf-8")
                 frames = self._stream_frames(
                     protocol.KIND_BYTES, "", payload, len(payload)

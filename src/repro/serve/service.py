@@ -23,11 +23,9 @@ already the width-optimal way to spend one core's time, and numpy
 releases the GIL inside the wide ops, so client threads keep running.
 
 Failure semantics (DESIGN.md §15): a failed fused batch is retried
-request-by-request so only the poisoned request errors; a dead shard
-pool degrades the service to the thread backend and a cooldown probe
-re-promotes it once the pool has healed; per-request deadlines are
-enforced *before* kernel dispatch, so an expired request never
-occupies kernel time.  All of it is visible in
+request-by-request so only the poisoned request errors; per-request
+deadlines are enforced *before* kernel dispatch, so an expired request
+never occupies kernel time.  All of it is visible in
 :meth:`RecoilService.metrics_snapshot` under ``"resilience"``.
 """
 
@@ -40,28 +38,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import faults, trace
-from repro.errors import (
-    AdmissionError,
-    DeadlineError,
-    ParallelismError,
-    ServeError,
-)
+from repro.errors import AdmissionError, DeadlineError, ServeError
 from repro.parallel import compiled
 from repro.parallel.buffers import ScratchArena
 from repro.parallel.executor import decode_with_pool
 from repro.parallel.fused import MultiRunResult, fuse_segments, fused_run_multi
+from repro.parallel.simd import combine_stats
 from repro.rans.model import SymbolModel
 from repro.serve.batcher import BatchPolicy, DecodeRequest, RequestBatcher
 from repro.serve.metrics import ServeMetrics
 from repro.serve.store import AssetStore, StoredAsset
 
 #: decode backends a service dispatcher can fan batches out to.
-DECODE_BACKENDS = ("fused", "thread", "process")
+DECODE_BACKENDS = ("fused", "thread")
 
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Tunables of one service instance (see DESIGN.md §12, §14)."""
+    """Tunables of one service instance (see DESIGN.md §12)."""
 
     #: how long the oldest pending request may wait for companions.
     batch_window_s: float = 0.002
@@ -93,22 +87,14 @@ class ServiceConfig:
     #: how a fused batch executes: ``"fused"`` — one in-process kernel
     #: call on the dispatcher thread (width-optimal for one core);
     #: ``"thread"`` — fan the batch across ``decode_workers`` OS
-    #: threads; ``"process"`` — fan it across ``decode_workers`` shard
-    #: processes (DESIGN.md §14; falls back to ``"thread"`` when
-    #: shared memory is unavailable).  A ``"+compiled"`` suffix (bare
-    #: ``"compiled"`` means ``"fused+compiled"``, the default) runs the
-    #: compiled kernel (DESIGN.md §19); a bare pool name runs numpy.
+    #: threads.  A ``"+compiled"`` suffix (bare ``"compiled"`` means
+    #: ``"fused+compiled"``, the default) runs the compiled kernel
+    #: (DESIGN.md §19); a bare pool name runs numpy.
     #: Without a toolchain the service degrades to the numpy kernel
     #: and reports it under ``metrics_snapshot()["resilience"]["kernel"]``.
     decode_backend: str = "fused+compiled"
-    #: worker count for the ``"thread"``/``"process"`` backends.
+    #: worker count for the ``"thread"`` backend.
     decode_workers: int = 8
-    #: seconds after a process→thread degradation before the service
-    #: probes the shard pool for re-promotion (doubles per failed
-    #: probe, capped at ``repromote_cooldown_cap_s``).
-    repromote_cooldown_s: float = 5.0
-    #: ceiling on the re-promotion probe backoff.
-    repromote_cooldown_cap_s: float = 60.0
     #: how long :meth:`RecoilService.close` waits for the dispatcher
     #: thread before raising instead of hanging.
     close_timeout_s: float = 10.0
@@ -129,15 +115,6 @@ class ServiceConfig:
         if self.decode_workers < 1:
             raise ServeError(
                 f"decode_workers must be >= 1, got {self.decode_workers}"
-            )
-        if self.repromote_cooldown_s <= 0:
-            raise ServeError(
-                f"repromote_cooldown_s must be > 0, got "
-                f"{self.repromote_cooldown_s}"
-            )
-        if self.repromote_cooldown_cap_s < self.repromote_cooldown_s:
-            raise ServeError(
-                "repromote_cooldown_cap_s must be >= repromote_cooldown_s"
             )
         if self.close_timeout_s <= 0:
             raise ServeError(
@@ -192,17 +169,9 @@ class RecoilService:
         self._close_owner: threading.Thread | None = None
         self._close_done = threading.Event()
         self._net_metrics = None
-        # The shard pool (when requested) starts BEFORE the dispatcher
-        # thread: forking from a single-threaded process is the only
-        # portable-safe moment.  Unavailable shared memory degrades to
-        # the thread backend (``decode_backend`` reports the truth).
-        pool_backend, kernel = compiled.split_backend(
+        self._backend, kernel = compiled.split_backend(
             self.config.decode_backend, default_pool="fused"
         )
-        self._backend = pool_backend
-        #: what the operator asked for — ``decode_backend`` may differ
-        #: after a degradation, and re-promotion aims back at this.
-        self._configured_backend = pool_backend
         #: inner-loop kernel: requested vs what actually runs.  The
         #: warm-up also front-loads the one-time compile (DESIGN.md
         #: §19) so it never lands inside a request's timed path.
@@ -210,21 +179,6 @@ class RecoilService:
         self._kernel = (
             compiled.warm_up() if kernel == "compiled" else "numpy"
         )
-        self._repromote_at = 0.0
-        self._promote_fails = 0
-        self._shards = None
-        if self._backend == "process":
-            from repro.parallel import shards as shards_mod
-
-            if shards_mod.sharding_available():
-                try:
-                    self._shards = shards_mod.ShardedExecutor(
-                        self.config.decode_workers
-                    )
-                except ParallelismError:
-                    self._shards = None
-            if self._shards is None:
-                self._backend = "thread"
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop,
             name="recoil-serve-dispatch",
@@ -234,15 +188,7 @@ class RecoilService:
 
     @property
     def decode_backend(self) -> str:
-        """Backend batches actually execute on.
-
-        Reports ``"thread"`` after a graceful fallback from an
-        unavailable ``"process"`` request — including mid-life, when a
-        shard worker dies and the pool degrades the service to the
-        thread fan-out.  The degradation is temporary: once
-        ``repromote_cooldown_s`` has elapsed the dispatcher probes the
-        (self-healing) pool and promotes back to ``"process"`` when it
-        answers — watch ``metrics_snapshot()["resilience"]``."""
+        """Pool batches execute on (``"fused"`` or ``"thread"``)."""
         return self._backend
 
     @property
@@ -274,8 +220,7 @@ class RecoilService:
         teardown it is waiting for.
 
         The winner joins the dispatcher thread (bounded by
-        ``close_timeout_s``), stops the shard pool (process backend),
-        and fails queued requests with
+        ``close_timeout_s``) and fails queued requests with
         :class:`~repro.errors.ServeError`.
 
         :raises ServeError: (winner only) the dispatcher thread did
@@ -308,8 +253,6 @@ class RecoilService:
                 self._dispatcher.is_alive()
                 and self._dispatcher is not threading.current_thread()
             )
-            if self._shards is not None:
-                self._shards.close()
             with self._cond:
                 leftovers = self._batcher.drain()
                 self._inflight_symbols = 0
@@ -321,8 +264,7 @@ class RecoilService:
                 raise ServeError(
                     f"dispatcher thread {self._dispatcher.name!r} did "
                     f"not exit within {self.config.close_timeout_s:.3g}s "
-                    f"of close(); it is leaked (likely stuck in a "
-                    f"kernel or a hung worker pipe)"
+                    f"of close(); it is leaked (likely stuck in a kernel)"
                 )
         finally:
             # Set done even on a teardown error: waiters must not hang
@@ -613,7 +555,7 @@ class RecoilService:
         )
         snap["store"] = self.store.metrics()
         snap["resilience"]["backend"] = {
-            "configured": self._configured_backend,
+            "configured": self._backend,
             "effective": self._backend,
         }
         snap["resilience"]["kernel"] = {
@@ -632,13 +574,6 @@ class RecoilService:
         snap["resilience"]["store_memory_only"] = int(
             self.store.memory_only
         )
-        shards = self._shards
-        if shards is not None:
-            snap["resilience"]["shards"] = {
-                "respawns": shards.respawns,
-                "dead_workers": shards.dead_workers(),
-                "pool_broken": shards.broken,
-            }
         return snap
 
     # -- dispatcher ----------------------------------------------------
@@ -687,65 +622,11 @@ class RecoilService:
                     self.metrics,
                 )
             if batch:
-                self._maybe_repromote()
                 self._execute(batch, arena)
                 with self._cond:
                     for req in batch:
                         self._inflight_symbols -= req.cost_symbols
                     self._cond.notify_all()
-
-    # -- self-healing (DESIGN.md §15) ----------------------------------
-
-    def _degrade(self) -> None:
-        """Record a process→thread fall and schedule the first
-        re-promotion probe (dispatcher thread only)."""
-        self.metrics.record_degradation()
-        self._backend = "thread"
-        self._promote_fails = 0
-        self._repromote_at = (
-            time.perf_counter() + self.config.repromote_cooldown_s
-        )
-
-    def _maybe_repromote(self) -> None:
-        """Probe the shard pool after a degradation cooldown and
-        promote back to the process backend when it answers.
-
-        Runs on the dispatcher thread just before a batch executes —
-        so a promotion applies to real traffic immediately.  A failed
-        probe doubles the cooldown (capped).  A terminally broken or
-        closed pool is replaced with a fresh one (safe here: the
-        executor spawn-guards against forking a threaded process).
-        """
-        if (
-            self._configured_backend != "process"
-            or self._backend == "process"
-            or self._shards is None
-            or time.perf_counter() < self._repromote_at
-        ):
-            return
-        self.metrics.record_promotion_probe()
-        try:
-            if self._shards.broken or self._shards.closed:
-                from repro.parallel import shards as shards_mod
-
-                fresh = shards_mod.ShardedExecutor(
-                    self.config.decode_workers
-                )
-                self._shards.close()
-                self._shards = fresh
-            self._shards.warm()
-        except ParallelismError:
-            self._promote_fails += 1
-            cooldown = min(
-                self.config.repromote_cooldown_s
-                * 2**self._promote_fails,
-                self.config.repromote_cooldown_cap_s,
-            )
-            self._repromote_at = time.perf_counter() + cooldown
-            return
-        self._backend = "process"
-        self._promote_fails = 0
-        self.metrics.record_promotion()
 
     def _run_batch(
         self, batch: list[DecodeRequest], arena: ScratchArena
@@ -753,10 +634,10 @@ class RecoilService:
         """Execute one fused batch on the configured backend.
 
         ``"fused"`` dispatches a single in-process kernel call;
-        ``"thread"``/``"process"`` rebase the batch onto one virtual
-        stream (:func:`~repro.parallel.fused.fuse_segments`) and fan
-        the fused tasks across ``decode_workers`` — the same LPT shard
-        plan either way, bit-identical output on every path.
+        ``"thread"`` rebases the batch onto one virtual stream
+        (:func:`~repro.parallel.fused.fuse_segments`) and fans the fused
+        tasks across ``decode_workers`` threads (LPT plan) — bit-identical
+        output either way.
         """
         faults.fire(
             faults.BATCH_DISPATCH, key="fused" if len(batch) > 1 else "solo"
@@ -774,8 +655,6 @@ class RecoilService:
                 out_dtype=first.out_dtype,
                 kernel=self._kernel,
             )
-        from repro.parallel.shards import combine_stats
-
         words, tasks, slices, total = fuse_segments(segments)
         pooled = decode_with_pool(
             first.provider,
@@ -790,17 +669,7 @@ class RecoilService:
                 if self._kernel == "compiled"
                 else self._backend
             ),
-            executor=self._shards,
         )
-        if (
-            tasks
-            and self._backend == "process"
-            and pooled.backend != "process"
-        ):
-            # A shard worker died (or shm ran dry) and decode_with_pool
-            # fell back to threads: record the degradation and schedule
-            # a re-promotion probe — the output is still bit-identical.
-            self._degrade()
         stats = combine_stats(pooled.per_worker_stats)
         stats.tasks = len(tasks)
         return MultiRunResult(out=pooled.symbols, slices=slices, stats=stats)
@@ -808,22 +677,17 @@ class RecoilService:
     def _traced_run_batch(
         self, batch: list[DecodeRequest], arena: ScratchArena
     ) -> MultiRunResult:
-        """:meth:`_run_batch` under a ``serve.batch`` span whose id is
-        published as the thread's implicit parent, so shard-worker
-        spans recorded layers below attach to this dispatch.  With
-        tracing disabled this is a direct call — no span, no scope."""
-        sid = trace.next_span_id()
-        if sid is None:
+        """:meth:`_run_batch` under a ``serve.batch`` span.  With
+        tracing disabled this is a direct call — no span."""
+        if not trace.enabled():
             return self._run_batch(batch, arena)
         t0 = time.perf_counter()
         try:
-            with trace.parent_scope(sid):
-                return self._run_batch(batch, arena)
+            return self._run_batch(batch, arena)
         finally:
             trace.record_span(
                 "serve.batch",
                 t0,
-                sid=sid,
                 args={
                     "requests": len(batch),
                     "backend": self._backend,

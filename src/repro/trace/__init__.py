@@ -3,8 +3,7 @@
 Three pieces:
 
 - :mod:`repro.trace.core` — the span registry: a bounded ring buffer
-  with a lock-free disabled fast path, per-request span trees, and
-  cross-process stitching for shard workers.
+  with a lock-free disabled fast path and per-request span trees.
 - :mod:`repro.trace.hist` — log-bucketed streaming histograms, the one
   quantile primitive behind every per-stage latency distribution.
 - :mod:`repro.trace.export` — Chrome trace-event JSON export
@@ -22,7 +21,6 @@ Quickstart::
 from .core import (
     DEFAULT_CAPACITY,
     Span,
-    current_parent,
     disable,
     drain,
     dropped,
@@ -30,7 +28,6 @@ from .core import (
     enabled,
     new_request,
     next_span_id,
-    parent_scope,
     record_instant,
     record_span,
     reset,
@@ -39,7 +36,6 @@ from .core import (
     ts,
 )
 from .export import (
-    WORKER_CAT,
     chrome_trace,
     validate_chrome_trace,
     validate_chrome_trace_file,
@@ -54,9 +50,7 @@ __all__ = [
     "NUM_BUCKETS",
     "LatencyHistogram",
     "Span",
-    "WORKER_CAT",
     "chrome_trace",
-    "current_parent",
     "disable",
     "drain",
     "dropped",
@@ -64,7 +58,6 @@ __all__ = [
     "enabled",
     "new_request",
     "next_span_id",
-    "parent_scope",
     "record_instant",
     "record_span",
     "reset",

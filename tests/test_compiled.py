@@ -57,12 +57,12 @@ class TestSplitBackend:
         assert compiled.split_backend("gpu") == ("gpu", "numpy")
 
     def test_backend_choices(self):
-        assert compiled.backend_choices(("thread", "process")) == (
+        assert compiled.backend_choices(("fused", "thread")) == (
+            "fused",
             "thread",
-            "process",
             "compiled",
+            "fused+compiled",
             "thread+compiled",
-            "process+compiled",
         )
 
     def test_effective_kernel_rejects_unknown(self):

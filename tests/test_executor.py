@@ -1,10 +1,10 @@
-"""Tests for pooled decoding on real threads and shard processes.
+"""Tests for pooled decoding on real threads.
 
-One parametrized suite covers both backends of
-:func:`repro.parallel.executor.decode_with_pool` — every behaviour the
-thread pool honors (bit-identical output, stats coverage, edge cases:
-zero tasks, a single task, more workers than tasks) must hold verbatim
-for the sharded process backend (DESIGN.md §14).
+One parametrized suite covers both kernels behind
+:func:`repro.parallel.executor.decode_with_pool` — bit-identical
+output, stats coverage, and the edge cases (zero tasks, a single task,
+more workers than tasks) must hold for the numpy and the compiled
+kernel alike.
 """
 
 from __future__ import annotations
@@ -17,20 +17,12 @@ from repro.core.encoder import RecoilEncoder
 from repro.errors import ParallelismError
 from repro.parallel import compiled
 from repro.parallel.executor import decode_with_pool
-from repro.parallel.shards import sharding_available
 
 from conftest import needs_compiled
 
-needs_shm = pytest.mark.skipif(
-    not sharding_available(), reason="no shared memory on this host"
-)
 BACKENDS = [
     "thread",
-    pytest.param("process", marks=needs_shm),
     pytest.param("thread+compiled", marks=needs_compiled),
-    pytest.param(
-        "process+compiled", marks=[needs_shm, needs_compiled]
-    ),
 ]
 
 
@@ -64,8 +56,7 @@ class TestPoolDecode:
         )
         assert np.array_equal(res.symbols, skewed_bytes)
         assert res.workers == min(workers, len(tasks))
-        pool, kernel = compiled.split_backend(backend)
-        assert res.backend == pool
+        _, kernel = compiled.split_backend(backend)
         assert res.kernel == kernel
 
     def test_stats_cover_all_work(self, encoded, tasks, provider11, backend):
@@ -119,64 +110,19 @@ class TestPoolDecode:
                 encoded.num_symbols, np.uint8, -3, backend=backend,
             )
 
-    @pytest.mark.parametrize("workers", [1, 3, 8])
-    def test_round_robin_strategy_roundtrip(
-        self, encoded, tasks, provider11, skewed_bytes, workers, backend
-    ):
-        res = decode_with_pool(
-            provider11, 32, encoded.words, tasks,
-            encoded.num_symbols, np.uint8, workers,
-            strategy="round_robin", backend=backend,
-        )
-        assert np.array_equal(res.symbols, skewed_bytes)
-        assert res.workers == min(workers, len(tasks))
-
-    def test_unknown_strategy_rejected(self, encoded, tasks, provider11,
-                                       backend):
-        with pytest.raises(ValueError):
-            decode_with_pool(
-                provider11, 32, encoded.words, tasks,
-                encoded.num_symbols, np.uint8, 2,
-                strategy="alphabetical", backend=backend,
-            )
-
 
 class TestBackendSelection:
-    def test_round_robin_deals_cyclically(self, tasks):
-        from repro.parallel.costmodel import assign_tasks
-
-        buckets = assign_tasks(tasks, 3, strategy="round_robin")
-        assert [len(b) for b in buckets] == [
-            len(tasks[i::3]) for i in range(3)
-        ]
-        assert buckets[1][0] is tasks[1]
-
-    def test_unknown_backend_rejected(self, encoded, tasks, provider11):
-        with pytest.raises(ParallelismError):
+    @pytest.mark.parametrize(
+        "backend", ["gpu", "process", "process+compiled"]
+    )
+    def test_unknown_backend_rejected(
+        self, encoded, tasks, provider11, backend
+    ):
+        with pytest.raises(ParallelismError) as info:
             decode_with_pool(
                 provider11, 32, encoded.words, tasks,
-                encoded.num_symbols, np.uint8, 2, backend="gpu",
+                encoded.num_symbols, np.uint8, 2, backend=backend,
             )
-
-    @needs_shm
-    def test_sharded_strategy_alias(self, encoded, tasks, provider11,
-                                    skewed_bytes):
-        res = decode_with_pool(
-            provider11, 32, encoded.words, tasks,
-            encoded.num_symbols, np.uint8, 4, strategy="sharded",
-        )
-        assert res.backend == "process"
-        assert np.array_equal(res.symbols, skewed_bytes)
-
-    def test_process_falls_back_without_shared_memory(
-        self, encoded, tasks, provider11, skewed_bytes, monkeypatch
-    ):
-        from repro.parallel import shards
-
-        monkeypatch.setattr(shards, "_AVAILABLE", False)
-        res = decode_with_pool(
-            provider11, 32, encoded.words, tasks,
-            encoded.num_symbols, np.uint8, 4, backend="process",
-        )
-        assert res.backend == "thread"
-        assert np.array_equal(res.symbols, skewed_bytes)
+        # The message names every surviving choice.
+        for choice in ("thread", "compiled", "thread+compiled"):
+            assert repr(choice) in str(info.value)

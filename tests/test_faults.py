@@ -4,13 +4,10 @@ The resilience contract (DESIGN.md §15) in test form:
 
 - the fault registry itself is deterministic, scoped, and complete;
 - a poisoned request fails alone — batchmates decode bit-identically;
-- a crashed shard worker is respawned and the pool keeps serving;
-- a degraded service re-promotes thread→process after its cooldown;
 - expired deadlines are enforced before kernel dispatch;
-- under concurrent clients with faults armed at every point, every
-  non-poisoned request still returns bytes identical to
-  ``recoil_decompress``, nothing leaks in ``/dev/shm``, and no threads
-  are left behind.
+- under concurrent clients on the thread fan-out with dispatch and
+  poison faults armed, every non-poisoned request still returns bytes
+  identical to ``recoil_decompress`` and no threads are left behind.
 
 Probabilistic rules are seeded from ``REPRO_CHAOS_SEED`` (default 0)
 so a CI failure is reproducible by exporting the seed it printed.
@@ -27,32 +24,10 @@ import pytest
 
 from repro import faults
 from repro.core.api import recoil_decompress
-from repro.errors import (
-    DeadlineError,
-    FaultInjected,
-    ParallelismError,
-    ReproError,
-    ServeError,
-)
-from repro.parallel.shards import (
-    _SHM_PREFIX,
-    ShardedExecutor,
-    sharding_available,
-)
+from repro.errors import DeadlineError, FaultInjected, ReproError, ServeError
 from repro.serve import RecoilService, ServiceConfig
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
-
-needs_sharding = pytest.mark.skipif(
-    not sharding_available(), reason="no shared memory on this host"
-)
-
-
-def _leaked_segments() -> list[str]:
-    shm_dir = "/dev/shm"
-    if not os.path.isdir(shm_dir):
-        return []
-    return [f for f in os.listdir(shm_dir) if f.startswith(_SHM_PREFIX)]
 
 
 @pytest.fixture(autouse=True)
@@ -78,8 +53,8 @@ def payload() -> np.ndarray:
 class TestRegistry:
     def test_disabled_is_a_no_op(self):
         assert not faults.enabled()
-        faults.fire(faults.SHM_ALLOC)  # must not raise
-        assert not faults.triggered(faults.WORKER_CRASH)
+        faults.fire(faults.NET_READ)  # must not raise
+        assert not faults.triggered(faults.NET_STALL)
 
     def test_nth_trigger_fires_exactly_once(self):
         with faults.inject(faults.STORE_ENCODE, nth=3) as rule:
@@ -132,11 +107,11 @@ class TestRegistry:
 
     def test_context_exit_disarms_even_on_error(self):
         with pytest.raises(RuntimeError):
-            with faults.inject(faults.SHM_ALLOC, p=1.0):
+            with faults.inject(faults.NET_READ, p=1.0):
                 assert faults.enabled()
                 raise RuntimeError("boom")
         assert not faults.enabled()
-        faults.fire(faults.SHM_ALLOC)
+        faults.fire(faults.NET_READ)
 
     def test_unknown_point_rejected(self):
         with pytest.raises(ValueError, match="unknown fault point"):
@@ -144,26 +119,28 @@ class TestRegistry:
 
     def test_trigger_validation(self):
         with pytest.raises(ValueError):
-            faults.FaultRule(faults.SHM_ALLOC)  # neither p nor nth
+            faults.FaultRule(faults.NET_READ)  # neither p nor nth
         with pytest.raises(ValueError):
-            faults.FaultRule(faults.SHM_ALLOC, p=0.5, nth=2)  # both
+            faults.FaultRule(faults.NET_READ, p=0.5, nth=2)  # both
         with pytest.raises(ValueError):
-            faults.FaultRule(faults.SHM_ALLOC, p=1.5)
+            faults.FaultRule(faults.NET_READ, p=1.5)
         with pytest.raises(ValueError):
-            faults.FaultRule(faults.SHM_ALLOC, nth=0)
+            faults.FaultRule(faults.NET_READ, nth=0)
 
     def test_default_exceptions_match_the_surface(self):
-        # shm/pipe points must raise OSError (what the real failure
+        # socket/disk points must raise OSError (what the real failure
         # raises there), everything else the typed FaultInjected.
         for point in (
-            faults.SHM_ALLOC,
-            faults.SHM_ATTACH,
-            faults.PIPE_SEND,
-            faults.PIPE_RECV,
+            faults.NET_ACCEPT,
+            faults.NET_READ,
+            faults.NET_WRITE,
+            faults.DISK_WRITE,
+            faults.DISK_FSYNC,
+            faults.DISK_READ,
         ):
             exc = faults.FaultRule(point, p=1.0).make_exception()
             assert isinstance(exc, OSError)
-        exc = faults.FaultRule(faults.WORKER_JOB, p=1.0).make_exception()
+        exc = faults.FaultRule(faults.BATCH_DISPATCH, p=1.0).make_exception()
         assert isinstance(exc, FaultInjected)
 
     def test_exception_override(self):
@@ -179,11 +156,11 @@ class TestRegistry:
         assert all(points.values())
 
     def test_snapshot_reports_counters(self):
-        with faults.inject(faults.SHM_ALLOC, nth=1):
+        with faults.inject(faults.NET_READ, nth=1):
             with pytest.raises(OSError):
-                faults.fire(faults.SHM_ALLOC)
+                faults.fire(faults.NET_READ)
             (snap,) = faults.snapshot()
-            assert snap["point"] == faults.SHM_ALLOC
+            assert snap["point"] == faults.NET_READ
             assert snap["fires"] == 1
         assert faults.snapshot() == []
 
@@ -191,12 +168,12 @@ class TestRegistry:
 class TestSpecs:
     def test_parse_spec_round_trip(self):
         rules = faults.parse_spec(
-            "worker.crash:nth=3,shm.alloc:p=0.05:seed=7,"
+            "batch.dispatch:nth=3,net.read:p=0.05:seed=7,"
             "serve.request:p=1:key=bad:times=2"
         )
         assert rules == [
-            {"point": "worker.crash", "nth": 3},
-            {"point": "shm.alloc", "p": 0.05, "seed": 7},
+            {"point": "batch.dispatch", "nth": 3},
+            {"point": "net.read", "p": 0.05, "seed": 7},
             {"point": "serve.request", "p": 1.0, "key": "bad", "times": 2},
         ]
 
@@ -205,10 +182,10 @@ class TestSpecs:
         [
             "",
             "nope.nope:p=1",
-            "shm.alloc",  # no trigger
-            "shm.alloc:p=2",
-            "shm.alloc:wat=1",
-            "shm.alloc:p",
+            "net.read",  # no trigger
+            "net.read:p=2",
+            "net.read:wat=1",
+            "net.read:p",
         ],
     )
     def test_bad_specs_rejected(self, spec):
@@ -269,132 +246,6 @@ class TestPoisonIsolation:
             assert np.array_equal(
                 out, recoil_decompress(svc.serve("a", 4))
             )
-
-
-# ---------------------------------------------------------------------------
-# Executor self-healing under injected faults.
-# ---------------------------------------------------------------------------
-
-
-@needs_sharding
-class TestExecutorChaos:
-    def _decode(self, ex, enc, provider, **kw):
-        from repro.core.decoder import build_thread_tasks
-
-        tasks = build_thread_tasks(
-            enc.metadata, len(enc.words), enc.final_states
-        )
-        return ex.decode(
-            provider, 32, enc.words, tasks, enc.num_symbols, np.uint8, **kw
-        )
-
-    @pytest.fixture(scope="class")
-    def encoded(self, payload):
-        from repro.core.encoder import RecoilEncoder
-        from repro.rans.model import SymbolModel
-
-        model = SymbolModel.from_data(payload, 11, alphabet_size=256)
-        return RecoilEncoder(model).encode(payload, num_threads=16), model
-
-    def _retry_until_healed(self, ex, enc, provider, payload):
-        deadline = time.monotonic() + 15
-        while True:
-            try:
-                res = self._decode(ex, enc, provider)
-                break
-            except ParallelismError:
-                if time.monotonic() > deadline:
-                    raise
-                time.sleep(0.02)
-        assert np.array_equal(res.symbols, payload)
-        return res
-
-    def test_injected_worker_crash_respawns(self, encoded, payload):
-        from repro.rans.adaptive import StaticModelProvider
-
-        enc, model = encoded
-        provider = StaticModelProvider(model)
-        with ShardedExecutor(2, respawn_backoff_s=0.01) as ex:
-            ex.warm()
-            with faults.inject(faults.WORKER_CRASH, nth=1):
-                with pytest.raises(ParallelismError):
-                    self._decode(ex, enc, provider)
-            assert not ex.broken
-            self._retry_until_healed(ex, enc, provider, payload)
-            assert ex.respawns >= 1
-            assert ex.dead_workers() == 0
-        assert _leaked_segments() == []
-
-    def test_injected_pipe_recv_failure_respawns(self, encoded, payload):
-        from repro.rans.adaptive import StaticModelProvider
-
-        enc, model = encoded
-        provider = StaticModelProvider(model)
-        with ShardedExecutor(2, respawn_backoff_s=0.01) as ex:
-            ex.warm()
-            with faults.inject(faults.PIPE_RECV, nth=1):
-                with pytest.raises(ParallelismError):
-                    self._decode(ex, enc, provider)
-            assert not ex.broken
-            self._retry_until_healed(ex, enc, provider, payload)
-        assert _leaked_segments() == []
-
-    def test_injected_shm_alloc_failure_is_clean(self, encoded, payload):
-        from repro.rans.adaptive import StaticModelProvider
-
-        enc, model = encoded
-        provider = StaticModelProvider(model)
-        with ShardedExecutor(2) as ex:
-            ex.warm()
-            with faults.inject(faults.SHM_ALLOC, nth=1):
-                with pytest.raises(ParallelismError, match="shared memory"):
-                    self._decode(ex, enc, provider)
-            # An allocation failure kills no workers.
-            assert ex.dead_workers() == 0
-            res = self._decode(ex, enc, provider)
-            assert np.array_equal(res.symbols, payload)
-        assert _leaked_segments() == []
-
-    def test_injected_worker_job_error_is_typed(self, encoded):
-        from repro.rans.adaptive import StaticModelProvider
-
-        enc, model = encoded
-        provider = StaticModelProvider(model)
-        with ShardedExecutor(2) as ex:
-            ex.warm()
-            with faults.inject(faults.WORKER_JOB, nth=1):
-                # A worker-side ReproError ships back as itself, not
-                # as a pool-infrastructure failure.
-                with pytest.raises(FaultInjected):
-                    self._decode(ex, enc, provider)
-            # The worker survived (it raised, it did not die).
-            assert ex.dead_workers() == 0
-            assert not ex.broken
-        assert _leaked_segments() == []
-
-    def test_crash_loop_exhausts_respawn_budget(self, encoded):
-        from repro.rans.adaptive import StaticModelProvider
-
-        enc, model = encoded
-        provider = StaticModelProvider(model)
-        with ShardedExecutor(
-            1, max_respawn_attempts=2, respawn_backoff_s=0.01,
-            respawn_backoff_cap_s=0.01,
-        ) as ex:
-            ex.warm()
-            with faults.inject(
-                faults.WORKER_CRASH, p=1.0, times=1000
-            ):
-                deadline = time.monotonic() + 20
-                while not ex.broken:
-                    with pytest.raises(ParallelismError):
-                        self._decode(ex, enc, provider)
-                    time.sleep(0.02)
-                    if time.monotonic() > deadline:
-                        pytest.fail("pool never declared itself broken")
-            with pytest.raises(ParallelismError, match="crash-looped"):
-                self._decode(ex, enc, provider)
-        assert _leaked_segments() == []
 
 
 # ---------------------------------------------------------------------------
@@ -515,15 +366,13 @@ class TestConcurrentChaos:
     CLIENTS = 16
     REQUESTS_PER_CLIENT = 3
 
-    @needs_sharding
     def test_sixteen_clients_survive_the_storm(self, payload):
         print(f"chaos seed: {CHAOS_SEED}")  # -s replays a CI failure
         threads_before = threading.active_count()
         cfg = ServiceConfig(
-            decode_backend="process",
+            decode_backend="thread+compiled",
             decode_workers=2,
             batch_window_s=0.01,
-            repromote_cooldown_s=0.2,
         )
         with RecoilService(config=cfg) as svc:
             # One shared model + equal sizes => equal fuse keys, so
@@ -562,18 +411,6 @@ class TestConcurrentChaos:
                             bad_bytes.append(name)
 
             rules = [
-                faults.inject(
-                    faults.WORKER_CRASH, p=0.05, seed=CHAOS_SEED
-                ),
-                faults.inject(
-                    faults.PIPE_RECV, p=0.05, seed=CHAOS_SEED + 1
-                ),
-                faults.inject(
-                    faults.SHM_ALLOC, p=0.05, seed=CHAOS_SEED + 2
-                ),
-                faults.inject(
-                    faults.PIPE_SEND, p=0.02, seed=CHAOS_SEED + 3
-                ),
                 # Aimed at multi-request batches: a solo run is an
                 # innocent's retry or lone request, which fails
                 # directly by design (DESIGN.md §15).
@@ -600,8 +437,8 @@ class TestConcurrentChaos:
             # Correctness: NEVER wrong bytes, under any injected fault.
             assert bad_bytes == []
             # Only the poisoned asset may fail, and only with the
-            # typed injection error (infrastructure faults are healed
-            # transparently; the batchmates never see them).
+            # typed injection error (a failed multi-request batch is
+            # retried request by request; the batchmates never see it).
             assert all(isinstance(e, FaultInjected) for e in errors), errors
             # Every poisoned request failed; each client hit the
             # poison asset exactly once.
@@ -616,8 +453,7 @@ class TestConcurrentChaos:
             )
             assert snap["requests"]["failed"] == len(errors)
             assert snap["resilience"]["poison_batches"] >= 1
-        # Nothing leaked, nothing left running.
-        assert _leaked_segments() == []
+        # Nothing left running.
         deadline = time.monotonic() + 10
         while threading.active_count() > threads_before:
             if time.monotonic() > deadline:
@@ -627,8 +463,8 @@ class TestConcurrentChaos:
             time.sleep(0.05)
 
     def test_fused_backend_storm_no_sharding_needed(self, payload):
-        # The same storm shape on the pure in-process backend: only
-        # dispatcher-level faults apply, recovery must be identical.
+        # The same storm shape on the one-call fused backend: recovery
+        # must be identical to the thread fan-out's.
         cfg = ServiceConfig(batch_window_s=0.01)
         with RecoilService(config=cfg) as svc:
             svc.put_asset("a", payload, num_splits=32)

@@ -135,9 +135,8 @@ class TestFusedVsReference:
 
 class TestPooledFused:
     @pytest.mark.parametrize("workers", THREADS)
-    @pytest.mark.parametrize("strategy", ["cost", "round_robin"])
     def test_pool_matches_single_engine(
-        self, payload, workers, strategy, kernel_backend
+        self, payload, workers, kernel_backend
     ):
         provider = _provider("static", payload, None)
         enc = RecoilEncoder(provider).encode(payload, num_threads=12)
@@ -149,7 +148,7 @@ class TestPooledFused:
         )
         res = decode_with_pool(
             provider, 32, enc.words, tasks, enc.num_symbols,
-            np.uint8, workers, strategy=strategy, backend=backend,
+            np.uint8, workers, backend=backend,
         )
         assert res.kernel == kernel_backend
         assert np.array_equal(res.symbols, payload)

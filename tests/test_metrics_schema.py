@@ -135,3 +135,27 @@ def test_record_methods_feed_snapshot_smoke():
     assert snap["connections"]["active"] == 1
     assert snap["requests"]["ok"] == 1
     assert snap["stage_latency_ms"]["e2e"]["count"] == 1
+
+
+def test_service_resilience_keys_pinned():
+    """The service's resilience section, key for key: the dispatcher's
+    poison/deadline counters, the store's degradation counters, and the
+    ``{configured, effective}`` backend and kernel pairs that the
+    served benchmark reads."""
+    from repro.serve.service import RecoilService
+
+    with RecoilService() as svc:
+        res = svc.metrics_snapshot()["resilience"]
+    assert set(res) == {
+        "poison_batches",
+        "poison_retries",
+        "poison_isolated",
+        "deadline_expired",
+        "store_degradations",
+        "store_persist_failures",
+        "store_memory_only",
+        "backend",
+        "kernel",
+    }
+    for knob in ("backend", "kernel"):
+        assert set(res[knob]) == {"configured", "effective"}

@@ -449,24 +449,15 @@ def _open_fds() -> int:
 
 
 class TestChaosStorm:
-    """The PR's acceptance run: an open-loop storm of 16+ clients —
+    """The acceptance run: an open-loop storm of 16+ clients —
     including kill -9 and slow-reader personas — with faults armed at
-    four ``net.*`` points plus ``worker.crash``, against the process
-    backend.  Every surviving response is verified bit-identical by
+    four ``net.*`` points plus ``batch.dispatch``, against the thread
+    fan-out.  Every surviving response is verified bit-identical by
     the load generator; afterwards nothing may be leaked."""
 
     def test_storm_survives_bit_identical(self):
-        from repro.parallel.shards import sharding_available
         from repro.serve.loadgen import run_load_bench
 
-        if not sharding_available():
-            pytest.skip("process backend unavailable on this platform")
-        # The shared shard pool (workers + pipes) outlives the bench
-        # by design — warm it first so its fds land in the baseline
-        # and the assertion only sees sockets the server would leak.
-        from repro.parallel import shards
-
-        shards.default_executor(2)
         fds_before = _open_fds()
         result = run_load_bench(
             symbols=12_000,
@@ -474,11 +465,11 @@ class TestChaosStorm:
             num_splits=SPLITS,
             rate_hz=60.0,
             duration_s=0.8,
-            backend="process",
+            backend="thread+compiled",
             workers=2,
             faults=(
                 "net.accept:p=0.05,net.read:p=0.05,net.write:p=0.05,"
-                "net.stall:p=0.1,worker.crash:nth=2"
+                "net.stall:p=0.1,batch.dispatch:nth=2:key=fused"
             ),
             seed=5,
             request_timeout_s=30.0,
@@ -501,15 +492,6 @@ class TestChaosStorm:
         while time.monotonic() < deadline and _open_fds() > fds_before:
             time.sleep(0.05)
         assert _open_fds() <= fds_before + 2
-        # No leaked shared-memory segments.
-        from repro.parallel.shards import _SHM_PREFIX
-
-        shm = [
-            f
-            for f in os.listdir("/dev/shm")
-            if f.startswith(_SHM_PREFIX)
-        ] if os.path.isdir("/dev/shm") else []
-        assert shm == []
 
 
 class TestKilledClients:

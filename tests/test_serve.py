@@ -11,6 +11,7 @@ from repro.core import recoil_decompress, recoil_service, recoil_shrink
 from repro.core.decoder import build_thread_tasks
 from repro.core.encoder import RecoilEncoder
 from repro.errors import AdmissionError, MetadataError, ServeError
+from repro.parallel import compiled
 from repro.parallel.buffers import ScratchArena
 from repro.parallel.fused import StreamSegment, fused_run_multi
 from repro.serve import (
@@ -22,6 +23,8 @@ from repro.serve import (
     ShrinkCache,
 )
 from repro.serve.batcher import DecodeRequest, geometry_bucket
+
+from conftest import needs_compiled
 
 
 @pytest.fixture(scope="module")
@@ -426,6 +429,47 @@ class TestService:
         assert snap["requests"]["completed"] == 48
         assert snap["requests"]["failed"] == 0
         assert snap["batches"]["largest_requests"] >= 2  # fusion happened
+
+
+class TestDecodeBackends:
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            "fused",
+            "thread",
+            pytest.param("fused+compiled", marks=needs_compiled),
+            pytest.param("thread+compiled", marks=needs_compiled),
+        ],
+    )
+    def test_service_round_trip(self, store, payload, backend):
+        cfg = ServiceConfig(decode_backend=backend, decode_workers=4)
+        pool, kernel = compiled.split_backend(backend, default_pool="fused")
+        with RecoilService(store=store, config=cfg) as svc:
+            assert svc.decode_backend == pool
+            assert svc.decode_kernel == kernel
+            requests = [svc.submit("hero", c) for c in (1, 4, 16, 4, 1)]
+            for req in requests:
+                assert np.array_equal(req.result(120), payload)
+            snap = svc.metrics_snapshot()
+        assert snap["resilience"]["backend"] == {
+            "configured": pool,
+            "effective": pool,
+        }
+        assert snap["resilience"]["kernel"] == {
+            "configured": kernel,
+            "effective": kernel,
+        }
+
+    @pytest.mark.parametrize(
+        "backend", ["quantum", "process", "process+compiled"]
+    )
+    def test_invalid_backend_config_rejected(self, backend):
+        with pytest.raises(ServeError):
+            ServiceConfig(decode_backend=backend)
+
+    def test_invalid_worker_count_rejected(self):
+        with pytest.raises(ServeError):
+            ServiceConfig(decode_workers=0)
 
 
 class TestMetricsUnderConcurrency:

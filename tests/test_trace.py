@@ -8,9 +8,8 @@ Three contracts under test:
 - the **histogram** answers quantile queries within one log-bucket of
   numpy's exact percentiles, in bounded memory, and merges losslessly;
 - the **Chrome export** is schema-valid and stitches one request's
-  spans accept -> service -> shard worker -> write across process
-  boundaries, with worker pids distinct from the serve pid, even while
-  a worker is crash-injected and respawned mid-run.
+  spans accept -> service -> kernel -> write on the thread fan-out,
+  even while batch dispatch is fault-injected mid-run.
 """
 
 from __future__ import annotations
@@ -180,16 +179,6 @@ class TestSpanRing:
         span = trace.snapshot()[0]
         assert span.dur == 0.0
 
-    def test_parent_scope_nesting(self):
-        trace.enable()
-        assert trace.current_parent() is None
-        with trace.parent_scope(5):
-            assert trace.current_parent() == 5
-            with trace.parent_scope(9):
-                assert trace.current_parent() == 9
-            assert trace.current_parent() == 5
-        assert trace.current_parent() is None
-
     def test_tracing_context_manager(self):
         with trace.tracing():
             assert trace.enabled()
@@ -226,7 +215,6 @@ class TestDisabledFastPath:
         assert trace.next_span_id() is None
         assert trace.record_span("x", 0.0, 1.0) is None
         assert trace.record_instant("x") is None
-        assert trace.current_parent() is None
 
     def test_ts_returns_module_constant(self):
         # identity, not equality: the disabled path must not allocate
@@ -263,22 +251,20 @@ class TestChromeExport:
         req = trace.new_request()
         root = trace.record_span("net.request", 1.0, 2.0, cat="net", req=req)
         trace.record_span("serve.kernel", 1.2, 1.8, req=req, parent=root)
-        trace.record_span(
-            "shard.worker", 1.3, 1.7, cat=trace.WORKER_CAT,
-            req=req, parent=root, pid=os.getpid() + 1, tid=1,
-        )
-        trace.record_instant("shard.respawn", args={"worker": 0})
+        trace.record_span("net.write", 1.8, 1.9, cat="net", req=req,
+                          parent=root)
+        trace.record_instant("net.accept", cat="net", args={"peer_port": 1})
         return trace.drain()
 
     def test_chrome_trace_shape(self):
         spans = self._spans()
-        doc = trace.chrome_trace(spans, main_pid=os.getpid())
+        doc = trace.chrome_trace(spans)
         assert doc["displayTimeUnit"] == "ms"
         events = doc["traceEvents"]
         metas = [e for e in events if e["ph"] == "M"]
-        names = {e["args"]["name"] for e in metas}
-        assert "recoil-serve" in names
-        assert any(n.startswith("shard-worker-") for n in names)
+        assert [(e["pid"], e["args"]["name"]) for e in metas] == [
+            (os.getpid(), "recoil-serve")
+        ]
         xs = [e for e in events if e["ph"] == "X"]
         instants = [e for e in events if e["ph"] == "i"]
         assert len(xs) == 3 and len(instants) == 1
@@ -292,17 +278,15 @@ class TestChromeExport:
         assert root["dur"] == pytest.approx(1.0e6)
 
     def test_validate_accepts_own_export(self):
-        doc = trace.chrome_trace(self._spans(), main_pid=os.getpid())
+        doc = trace.chrome_trace(self._spans())
         stats = trace.validate_chrome_trace(doc)
         assert stats["spans"] == 3
         assert stats["requests"] == 1
-        assert stats["worker_pids"] == [os.getpid() + 1]
+        assert stats["pids"] == [os.getpid()]
 
     def test_write_and_validate_file(self, tmp_path):
         path = tmp_path / "trace.json"
-        doc = trace.write_chrome_trace(
-            str(path), self._spans(), main_pid=os.getpid()
-        )
+        doc = trace.write_chrome_trace(str(path), self._spans())
         assert json.loads(path.read_text()) == doc
         stats = trace.validate_chrome_trace_file(str(path))
         assert stats["spans"] == 3
@@ -337,47 +321,33 @@ class TestChromeExport:
             {"name": "a", "ph": "B", "ts": 1, "pid": 1, "tid": 1},
             {"name": "b", "ph": "E", "ts": 2, "pid": 1, "tid": 1},
         ]}, "does not match"),
-        ({"traceEvents": [
-            {"name": "w", "cat": "shard", "ph": "X", "ts": 1, "pid": 3,
-             "tid": 1, "dur": 1},
-            {"name": "s", "cat": "serve", "ph": "X", "ts": 1, "pid": 3,
-             "tid": 2, "dur": 1},
-        ]}, "share a pid"),
     ])
     def test_validate_rejects(self, doc, msg):
         with pytest.raises(TraceError, match=msg):
             trace.validate_chrome_trace(doc)
 
 
-# -- end-to-end: traced serve across process boundaries ---------------------
+# -- end-to-end: traced serve across layers ----------------------------------
 
 
 class TestEndToEnd:
     def test_traced_request_stitches_across_layers(self):
         """One traced decode through the full network stack on the
-        process backend, with a worker crash injected mid-run: the
-        exported trace must be schema-valid, place worker spans under
-        distinct worker pids, link net -> serve -> shard spans into
-        one request tree, and show the respawn instant."""
+        thread fan-out, with a multi-request batch dispatch failing
+        mid-run: the exported trace must be schema-valid and link
+        net -> serve -> kernel spans into one request tree."""
         from repro.data import text_surrogate
-        from repro.parallel.shards import sharding_available
         from repro.serve import (
             NetConfig, NetServer, RecoilClient, RecoilService, ServiceConfig,
         )
 
-        if not sharding_available():
-            pytest.skip("process backend unavailable")
-
         data = text_surrogate(20_000, target_entropy=5.29, seed=11)
         config = ServiceConfig(
-            decode_backend="process",
+            decode_backend="thread+compiled",
             decode_workers=2,
-            # crash -> degrade to thread; probe (and respawn the dead
-            # worker) quickly so the trace shows the heal in-test.
-            repromote_cooldown_s=0.2,
         )
         trace.enable()
-        with faults.inject_spec("worker.crash:nth=2"):
+        with faults.inject_spec("batch.dispatch:nth=2:key=fused"):
             with RecoilService(config=config) as service:
                 service.put_asset("asset", data, num_splits=32)
                 with NetServer(service, NetConfig(port=0)) as server:
@@ -386,25 +356,12 @@ class TestEndToEnd:
                         for _ in range(6):
                             out = client.decompress("asset", 4)
                             assert np.array_equal(out, data)
-                        deadline = time.monotonic() + 10.0
-                        while time.monotonic() < deadline:
-                            out = client.decompress("asset", 4)
-                            assert np.array_equal(out, data)
-                            if any(
-                                s.name == "shard.respawn"
-                                for s in trace.snapshot()
-                            ):
-                                break
-                            time.sleep(0.1)
                         doc = client.trace()
         spans = trace.drain()
         trace.disable()
 
         stats = trace.validate_chrome_trace(doc)
-        serve_pid = os.getpid()
-        assert serve_pid in stats["pids"]
-        assert stats["worker_pids"], "no worker-side spans shipped back"
-        assert serve_pid not in stats["worker_pids"]
+        assert stats["pids"] == [os.getpid()]
         assert stats["requests"] >= 6
 
         by_name: dict[str, list] = {}
@@ -412,27 +369,24 @@ class TestEndToEnd:
             by_name.setdefault(s.name, []).append(s)
         for required in ("net.accept", "net.read", "net.request",
                          "serve.request", "serve.kernel", "serve.batch",
-                         "shard.worker", "net.write"):
+                         "net.write"):
             assert required in by_name, f"missing span {required!r}"
-        assert "shard.respawn" in by_name, "worker respawn not visible"
 
         # stitch check: a serve.request span's parent is a net.request
-        # root, and a shard.worker span's parent chain reaches a
-        # serve.batch span recorded parent-side.
+        # root, and a serve.kernel span hangs off a serve.request.
         net_roots = {s.sid for s in by_name["net.request"]}
         assert any(
             s.parent in net_roots for s in by_name["serve.request"]
         ), "service spans did not link to a network root"
-        batch_sids = {s.sid for s in by_name["serve.batch"]}
-        workers = by_name["shard.worker"]
-        assert any(w.parent in batch_sids for w in workers), (
-            "worker spans did not link to a batch span"
+        linked = {
+            s.sid for s in by_name["serve.request"] if s.parent in net_roots
+        }
+        kernels = by_name["serve.kernel"]
+        assert any(k.parent in linked for k in kernels), (
+            "kernel spans did not link to a networked service request"
         )
-        worker_pids = {w.pid for w in workers}
-        assert serve_pid not in worker_pids
-        for w in workers:
-            assert w.cat == trace.WORKER_CAT
-            assert w.dur >= 0.0
+        for k in kernels:
+            assert k.dur >= 0.0
 
     def test_stage_histograms_populated_and_consistent(self):
         """metrics_snapshot() gains per-stage quantiles whose means
